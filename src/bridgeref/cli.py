@@ -50,6 +50,31 @@ def _load_run_config(args) -> ResolverConfig:
     return config
 
 
+def _load_resolver_inputs(args):
+    """Corpus, lexicons and config, with every code checked against the table.
+
+    Thesaurus codes and case-frame constraints deeper than the similarity
+    table would fail only once a candidate reaches that depth, so they are
+    rejected here, before anything is resolved or written.
+    """
+    corpora = _read_corpus(args.corpus)
+    lexicons = load_lexicons(args.lexicons)
+    config = _load_run_config(args)
+    deepest = max(config.similarity_table)
+    codes = [("thesaurus.tsv", f"lemma {lemma!r}", code)
+             for lemma, lemma_codes in lexicons.thesaurus.codes.items()
+             for code in lemma_codes]
+    codes += [("caseframes.txt", f"verb {verb!r}", code)
+              for verb, frame in lexicons.case_frames.frames.items()
+              for slot in frame.slots for code in slot.constraints]
+    for name, owner, code in codes:
+        if len(code) > deepest:
+            raise ConfigError(
+                f"{Path(args.lexicons) / name}: {owner} has code {code}, deeper "
+                f"than the similarity table (levels 0..{deepest})")
+    return corpora, lexicons, config
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -58,9 +83,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_resolve(args) -> int:
-    corpora = _read_corpus(args.corpus)
-    lexicons = load_lexicons(args.lexicons)
-    config = _load_run_config(args)
+    corpora, lexicons, config = _load_resolver_inputs(args)
     predictions = []
     for doc_id, discourse in corpora.items():
         results = resolve_discourse(discourse, lexicons, config)
@@ -70,9 +93,7 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    corpora = _read_corpus(args.corpus)
-    lexicons = load_lexicons(args.lexicons)
-    config = _load_run_config(args)
+    corpora, lexicons, config = _load_resolver_inputs(args)
     if ":" not in args.anaphor:
         raise ConfigError("--anaphor takes DOC:ID")
     doc_id, _, raw_id = args.anaphor.partition(":")

@@ -17,6 +17,11 @@ trailing ``,`` or ``.`` on the surface is stripped into ``punct_after``.
 ``gold`` is ``-`` or a comma-joined list of ``rel=<label>:<id>``,
 ``rel=<label>:NONE`` and bare ``rel=NONE`` items.
 
+Parsing reports the first violation ``validate_discourse`` finds in each
+document as a ``CorpusStructureError``: dangling heads, head chains that
+never reach the sentence root (cycles, head-less sentences), non-increasing
+ids and gold antecedents that do not precede their phrase.
+
 Documents are immutable once parsed; any number of readers may share them.
 """
 from __future__ import annotations
@@ -238,49 +243,6 @@ def _parse_record(line: str, lineno: int) -> Phrase:
     )
 
 
-def _finish_sentence(doc_id: str, index: int, phrases: list[Phrase]) -> Sentence:
-    ids = {p.id for p in phrases}
-    for p in phrases:
-        if p.head_id is not None and p.head_id not in ids:
-            raise CorpusStructureError(
-                f"document {doc_id!r}: phrase {p.id} has dangling head {p.head_id} "
-                f"(heads must stay within sentence {index})")
-        if p.head_id == p.id:
-            raise CorpusStructureError(
-                f"document {doc_id!r}: phrase {p.id} is its own head")
-    roots = [p for p in phrases if p.head_id is None]
-    if phrases and len(roots) != 1:
-        raise CorpusStructureError(
-            f"document {doc_id!r}: sentence {index} has {len(roots)} head-less phrases, expected 1")
-    return Sentence(index=index, phrases=tuple(phrases))
-
-
-def _finish_document(doc_id: str, sentences: list[Sentence]) -> Discourse:
-    seen: list[int] = []
-    for sent in sentences:
-        for p in sent.phrases:
-            if seen and p.id <= seen[-1]:
-                raise CorpusStructureError(
-                    f"document {doc_id!r}: phrase ids must increase, "
-                    f"{p.id} follows {seen[-1]}")
-            seen.append(p.id)
-    ids = set(seen)
-    for sent in sentences:
-        for p in sent.phrases:
-            for gold in p.gold_antecedents:
-                if gold.antecedent_id is None:
-                    continue
-                if gold.antecedent_id not in ids:
-                    raise CorpusStructureError(
-                        f"document {doc_id!r}: phrase {p.id} gold antecedent "
-                        f"{gold.antecedent_id} does not exist")
-                if gold.antecedent_id >= p.id:
-                    raise CorpusStructureError(
-                        f"document {doc_id!r}: phrase {p.id} gold antecedent "
-                        f"{gold.antecedent_id} does not precede it")
-    return Discourse(doc_id=doc_id, sentences=tuple(sentences))
-
-
 def parse_corpus(text: str) -> list[Discourse]:
     """Parse ADC text into a list of documents."""
     documents: list[Discourse] = []
@@ -292,14 +254,18 @@ def parse_corpus(text: str) -> list[Discourse]:
     def close_sentence():
         nonlocal current
         if current is not None:
-            sentences.append(_finish_sentence(doc_id, current_index, current))
+            sentences.append(Sentence(index=current_index, phrases=tuple(current)))
             current = None
 
     def close_document():
         nonlocal sentences
         if doc_id is not None:
             close_sentence()
-            documents.append(_finish_document(doc_id, sentences))
+            document = Discourse(doc_id=doc_id, sentences=tuple(sentences))
+            violations = validate_discourse(document)
+            if violations:
+                raise CorpusStructureError(f"document {doc_id!r}: {violations[0]}")
+            documents.append(document)
             sentences = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -414,17 +380,25 @@ def validate_discourse(d: Discourse) -> list[str]:
         previous_id = p.id
 
     for sent in d.sentences:
-        sent_ids = {p.id for p in sent.phrases}
+        heads = {p.id: p.head_id for p in sent.phrases}
         roots = [p for p in sent.phrases if p.head_id is None]
         if sent.phrases and len(roots) > 1:
             violations.append(
                 f"sentence {sent.index}: more than one head-less phrase")
         for p in sent.phrases:
-            if p.head_id is not None and p.head_id not in sent_ids:
+            if p.head_id is not None and p.head_id not in heads:
                 violations.append(
-                    f"phrase {p.id}: head {p.head_id} not in sentence {sent.index}")
-            if p.head_id == p.id:
-                violations.append(f"phrase {p.id}: is its own head")
+                    f"phrase {p.id}: dangling head {p.head_id} "
+                    f"(heads must stay within sentence {sent.index})")
+            # A chain longer than the sentence has entered a cycle; one that
+            # leaves the sentence is the dangling head reported above.
+            head, steps = p.head_id, 0
+            while head in heads and steps <= len(heads):
+                head, steps = heads[head], steps + 1
+            if head in heads:
+                violations.append(
+                    f"phrase {p.id}: head chain never reaches the root of "
+                    f"sentence {sent.index}")
             if p.pos == "noun" and p.noun_subtype not in NOUN_SUBTYPES:
                 violations.append(f"phrase {p.id}: noun without a valid subtype")
             if p.is_zero_pronoun():

@@ -10,14 +10,14 @@ entities; the builder flags them for the human editor but keeps them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .lexicons import EXCLUDED_X_FLAGS, NounAttributes, Thesaurus, XnoYStore
 
 UNKNOWN_GROUP = "UNKNOWN"
 CORPUS = "corpus"
 
-# Top-level category labels by code prefix (first digit pair by default).
+# Top-level category labels by code prefix (the first digit pair).
 DEFAULT_CATEGORY_LABELS: dict[str, str] = {
     "11": "Human",
     "12": "Organization",
@@ -42,14 +42,9 @@ class ArrangedFrame:
     flagged: tuple[str, ...]                   # kept, but likely feature-like
 
 
-def _category_label(
-    lemma: str,
-    thesaurus: Thesaurus,
-    labels: Mapping[str, str],
-    prefix_len: int,
-) -> str:
+def _category_label(lemma: str, thesaurus: Thesaurus) -> str:
     for code in thesaurus.lookup(lemma):
-        label = labels.get(code[:prefix_len])
+        label = DEFAULT_CATEGORY_LABELS.get(code[:DEFAULT_PREFIX_LEN])
         if label is not None:
             return label
     return UNKNOWN_GROUP
@@ -60,12 +55,8 @@ def arrange(
     store: XnoYStore,
     thesaurus: Thesaurus,
     attrs: NounAttributes,
-    labels: Optional[Mapping[str, str]] = None,
-    prefix_len: int = DEFAULT_PREFIX_LEN,
-    flagged_labels: frozenset[str] = DEFAULT_FLAGGED_LABELS,
 ) -> ArrangedFrame:
     """Group the observed modifiers of one head noun by category."""
-    labels = labels if labels is not None else DEFAULT_CATEGORY_LABELS
     grouped: dict[str, list[str]] = {}
     provenance: dict[str, str] = {}
     rejected: list[str] = []
@@ -74,10 +65,10 @@ def arrange(
         if attrs.has_any(x, EXCLUDED_X_FLAGS):
             rejected.append(x)
             continue
-        label = _category_label(x, thesaurus, labels, prefix_len)
+        label = _category_label(x, thesaurus)
         grouped.setdefault(label, []).append(x)
         provenance[x] = CORPUS
-        if label in flagged_labels:
+        if label in DEFAULT_FLAGGED_LABELS:
             flagged.append(x)
     return ArrangedFrame(
         y_lemma=y,
@@ -135,13 +126,10 @@ def build_dictionary(
     thesaurus: Thesaurus,
     attrs: NounAttributes,
     merges: tuple[tuple[str, str], ...] = (),
-    labels: Optional[Mapping[str, str]] = None,
 ) -> str:
     """Arrange every head noun of the store, apply merges, render all blocks."""
     heads = sorted({y for _, y in store.pairs})
-    frames = {
-        y: arrange(y, store, thesaurus, attrs, labels=labels) for y in heads
-    }
+    frames = {y: arrange(y, store, thesaurus, attrs) for y in heads}
     for target_y, source_y in merges:
         if target_y not in frames or source_y not in frames:
             missing = target_y if target_y not in frames else source_y

@@ -127,7 +127,7 @@ class EvalReport:
         for name, counts in rows:
             recall = format_rate(counts.correct, counts.gold_positive)
             precision = format_rate(counts.correct, counts.system_positive)
-            lines.append(f"{name:<12}{recall:<16}{precision}")
+            lines.append(f"{name:<12}{recall:<15} {precision}")
         lines.append("note: verbal nouns are counted once per case slot")
         return "\n".join(lines) + "\n"
 

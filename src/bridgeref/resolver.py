@@ -26,19 +26,20 @@ get a second topic/focus proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .config import ResolverConfig
-from .corpus import Discourse, Phrase, Sentence
+from .corpus import Discourse, Phrase
 from .lexicons import (
     LexiconSet,
+    VerbCaseFrame,
     lookup_case_frame,
     satisfies_constraint,
     similarity_level,
     similarity_score,
     xnoy_modifier_set,
 )
-from .salience import default_rows, salience_list
+from .salience import default_rows, ranks, salience_list
 
 # Target modes.
 VERBAL = "VERBAL"
@@ -114,19 +115,19 @@ def referential_property(
     return prop, config.definiteness[prop]
 
 
-def _classify_target(phrase: Phrase, lex: LexiconSet) -> tuple[str, tuple[str, ...]]:
-    """Mode of one noun phrase, plus the case slots for verbal targets."""
+def _classify_target(phrase: Phrase, lex: LexiconSet) -> tuple[str, Optional[VerbCaseFrame]]:
+    """Mode of one noun phrase, plus the case frame of verbal targets."""
     if not phrase.is_noun() or phrase.noun_subtype in ("pronoun", "zero_pronoun"):
-        return SKIP, ()
+        return SKIP, None
     if phrase.noun_subtype == "verbal":
         frame = lookup_case_frame(phrase.lemma, lex.case_frames)
         if frame is not None:
-            return VERBAL, frame.surface_cases()
+            return VERBAL, frame
     if phrase.noun_subtype == "relational" or lex.attrs.has(phrase.lemma, "relational"):
-        return RELATIONAL, ()
+        return RELATIONAL, None
     if xnoy_modifier_set(phrase.lemma, lex.xnoy, lex.attrs):
-        return NOMINAL, ()
-    return SKIP, ()
+        return NOMINAL, None
+    return SKIP, None
 
 
 def detect_targets(d: Discourse, lex: LexiconSet) -> list[Target]:
@@ -135,31 +136,28 @@ def detect_targets(d: Discourse, lex: LexiconSet) -> list[Target]:
     for phrase in d.phrases():
         if not phrase.is_noun():
             continue
-        mode, slots = _classify_target(phrase, lex)
+        mode, frame = _classify_target(phrase, lex)
         if mode == VERBAL:
-            targets.extend(Target(phrase.id, mode, slot) for slot in slots)
+            targets.extend(Target(phrase.id, mode, slot) for slot in frame.surface_cases())
         else:
             targets.append(Target(phrase.id, mode))
     return targets
 
 
-def _governor_ids(anaphor: Phrase, sentence: Sentence) -> set[int]:
-    """Ids of the phrases the anaphor transitively attaches to (cycle safe)."""
-    by_id = {p.id: p for p in sentence.phrases}
-    governors: set[int] = set()
+def _head_chain(anaphor: Phrase, d: Discourse) -> Iterator[Phrase]:
+    """The phrases the anaphor transitively attaches to, nearest first."""
     head = anaphor.head_id
-    while head is not None and head not in governors:
-        governors.add(head)
-        head = by_id[head].head_id if head in by_id else None
-    return governors
+    while head is not None:
+        phrase = d.phrase(head)
+        yield phrase
+        head = phrase.head_id
 
 
 def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
     """Subjects of the anaphor's clause and of the clauses governing it."""
-    sentence = d.sentence_of(anaphor.id)
-    governors = _governor_ids(anaphor, sentence)
+    governors = {p.id for p in _head_chain(anaphor, d)}
     return [
-        p for p in sentence.phrases
+        p for p in d.sentence_of(anaphor.id).phrases
         if p.id < anaphor.id
         and p.is_noun()
         and not p.is_zero_pronoun()
@@ -209,12 +207,7 @@ def _propose_salience_and_subjects(
             ScoreBreakdown(definiteness=p_score, similarity=sim,
                            base=config.subject_base)))
     entries = salience_list(d, anaphor, _salience_rows(lex, config))
-    # backward same-kind ranks in one pass; equals distance() on this list
-    ranks: dict[int, int] = {}
-    seen_of_kind: dict[str, int] = {}
-    for entry in reversed(entries):
-        seen_of_kind[entry.kind] = seen_of_kind.get(entry.kind, 0) + 1
-        ranks[entry.seq] = seen_of_kind[entry.kind]
+    dists = ranks(entries)
     for entry in entries:
         phrase = d.phrase(entry.phrase_id)
         if phrase.is_zero_pronoun() or phrase.id in subject_ids:
@@ -222,7 +215,7 @@ def _propose_salience_and_subjects(
         sim = score_candidate(phrase)
         if sim is None:
             continue
-        dist = ranks[entry.seq]
+        dist = dists[entry.seq]
         points = entry.weight - dist + p_score + sim
         proposals.append(Proposal(
             phrase.id, points, rule,
@@ -236,11 +229,13 @@ def propose_prior_mentions(anaphor: Phrase, d: Discourse,
     """R1: a definite phrase repeating an earlier lemma is direct anaphora."""
     if not anaphor.lemma:
         return []
-    return [
-        Proposal(p.id, config.identity_points, "R1")
-        for p in d.preceding(anaphor.id)
-        if p.lemma == anaphor.lemma and p.is_noun()
-    ]
+    return [Proposal(p.id, config.identity_points, "R1")
+            for p in _earlier_nouns(anaphor.lemma, anaphor, d)]
+
+
+def _earlier_nouns(lemma: str, anaphor: Phrase, d: Discourse) -> list[Phrase]:
+    """Noun phrases with the given lemma that precede the anaphor."""
+    return [p for p in d.preceding(anaphor.id) if p.lemma == lemma and p.is_noun()]
 
 
 def propose_no_antecedent(prop: str, config: ResolverConfig) -> list[Proposal]:
@@ -294,11 +289,8 @@ def propose_modified_noun(anaphor: Phrase, d: Discourse,
     modified = _genitive_head(anaphor, d)
     if modified is None or not modified.lemma:
         return []
-    return [
-        Proposal(p.id, config.relational_points, "R6")
-        for p in d.preceding(anaphor.id)
-        if p.lemma == modified.lemma and p.is_noun()
-    ]
+    return [Proposal(p.id, config.relational_points, "R6")
+            for p in _earlier_nouns(modified.lemma, anaphor, d)]
 
 
 def _genitive_head(anaphor: Phrase, d: Discourse) -> Optional[Phrase]:
@@ -307,22 +299,6 @@ def _genitive_head(anaphor: Phrase, d: Discourse) -> Optional[Phrase]:
         return None
     head = d.phrase(anaphor.head_id)
     return head if head.is_noun() else None
-
-
-def _governing_verb(anaphor: Phrase, d: Discourse) -> Optional[Phrase]:
-    sentence = d.sentence_of(anaphor.id)
-    by_id = {p.id: p for p in sentence.phrases}
-    seen: set[int] = set()
-    head = anaphor.head_id
-    while head is not None and head not in seen:
-        seen.add(head)
-        phrase = by_id.get(head)
-        if phrase is None:
-            return None
-        if phrase.pos == "verb":
-            return phrase
-        head = phrase.head_id
-    return None
 
 
 def _surface_slot(anaphor: Phrase) -> Optional[str]:
@@ -348,10 +324,11 @@ def resolve(
     tie against a real phrase.
     """
     config = config or ResolverConfig.default()
-    mode, slots = _classify_target(anaphor, lex)
+    mode, frame = _classify_target(anaphor, lex)
     if mode == SKIP:
         raise ValueError(f"phrase {anaphor.id} is not an anaphora target")
     if mode == VERBAL:
+        slots = frame.surface_cases()
         if slot not in slots:
             raise ValueError(
                 f"verbal noun {anaphor.lemma!r} has no {slot!r} slot (has {slots})")
@@ -368,14 +345,13 @@ def resolve(
         proposals.extend(propose_from_modifier_examples(
             anaphor, d, lex, config, p_score))
     elif mode == VERBAL:
-        frame = lookup_case_frame(anaphor.lemma, lex.case_frames)
         proposals.extend(propose_from_case_slot(
             anaphor, slot, frame, d, lex, config, p_score))
     elif mode == RELATIONAL:
         if _genitive_head(anaphor, d) is not None:
             proposals.extend(propose_modified_noun(anaphor, d, config))
         else:
-            verb = _governing_verb(anaphor, d)
+            verb = next((p for p in _head_chain(anaphor, d) if p.pos == "verb"), None)
             frame = (lookup_case_frame(verb.lemma, lex.case_frames)
                      if verb is not None else None)
             verb_slot = _surface_slot(anaphor)

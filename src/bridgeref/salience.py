@@ -109,18 +109,25 @@ def salience_list(
     return entries
 
 
-def distance(entry: SalienceEntry, anaphor: Phrase, entries: list[SalienceEntry]) -> int:
-    """Backward rank of an entry among same-kind entries before the anaphor.
+def ranks(entries: list[SalienceEntry]) -> dict[int, int]:
+    """Backward rank of every entry among same-kind entries, keyed by ``seq``.
 
-    The most recent same-kind entry has distance 1; every further same-kind
-    entry between it and the anaphor adds 1.
+    The most recent entry of a kind has rank 1; every further same-kind entry
+    between an entry and the end of the list adds 1.
     """
+    out: dict[int, int] = {}
+    seen_of_kind: dict[str, int] = {}
+    for entry in reversed(entries):
+        seen_of_kind[entry.kind] = seen_of_kind.get(entry.kind, 0) + 1
+        out[entry.seq] = seen_of_kind[entry.kind]
+    return out
+
+
+def distance(entry: SalienceEntry, anaphor: Phrase, entries: list[SalienceEntry]) -> int:
+    """Backward rank of an entry among same-kind entries before the anaphor."""
     if entry not in entries:
         raise ValueError(f"salience entry for phrase {entry.phrase_id} not in list")
-    later_same_kind = sum(
-        1 for e in entries
-        if e.kind == entry.kind and e.seq > entry.seq and e.phrase_id < anaphor.id)
-    return 1 + later_same_kind
+    return ranks([e for e in entries if e.phrase_id < anaphor.id or e == entry])[entry.seq]
 
 
 def parse_weight_row(kind: str, pattern: str, weight: int) -> WeightRow:

@@ -1,7 +1,10 @@
+import shutil
+
 import pytest
 
 from bridgeref.cli import main
 from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
+from test_corpus import CYCLE_DOC
 
 LEX = str(LEXICON_DIR)
 CORPUS = str(DEMO_CORPUS)
@@ -108,3 +111,38 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["resolve"])          # missing required arguments
     assert excinfo.value.code == 2
+
+
+def test_resolve_rejects_head_cycle_before_writing(tmp_path, capsys):
+    corpus = tmp_path / "loop.adc"
+    corpus.write_text(CYCLE_DOC, encoding="utf-8")
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", str(corpus), "--lexicons", LEX,
+                 "--out", str(out)]) == 1
+    assert "document 'loop'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_thesaurus_deeper_than_similarity_table_is_a_config_error(tmp_path, capsys):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    with (lex / "thesaurus.tsv").open("a", encoding="utf-8") as f:
+        f.write("\nie\t1712345\n")
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", CORPUS, "--lexicons", str(lex),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "thesaurus.tsv" in err and "'ie'" in err and "1712345" in err
+    assert not out.exists()
+
+
+def test_case_frame_constraint_deeper_than_similarity_table(tmp_path, capsys):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    with (lex / "caseframes.txt").open("a", encoding="utf-8") as f:
+        f.write("\nverb fukaku\nslot case=ga constraints=1234567 examples=-\n")
+    assert main(["explain", "--corpus", CORPUS, "--lexicons", str(lex),
+                 "--anaphor", "rate:8"]) == 2
+    captured = capsys.readouterr()
+    assert "caseframes.txt" in captured.err and "'fukaku'" in captured.err
+    assert "1234567" in captured.err and captured.out == ""

@@ -171,3 +171,45 @@ def test_validate_flags_duplicate_ids():
     ])
     violations = validate_discourse(doc)
     assert any("strictly increase" in v or "not unique" in v for v in violations)
+
+
+CYCLE_DOC = (
+    "#DOC loop\n#SENT 0\n"
+    "1\tneko\tneko\tnoun\tcommon\tga\t2\t-\t-\t-\t-\n"
+    "2\tinu\tinu\tnoun\tcommon\two\t1\t-\t-\t-\t-\n"
+    "3\tmita.\tmiru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+    "#SENT 1\n"
+    "4\tsono inu\tinu\tnoun\tcommon\tga\t5\t-\t-\t-\t-\n"
+    "5\thoeta.\thoeru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+)
+
+
+def test_head_cycle_is_a_structural_error():
+    with pytest.raises(CorpusStructureError,
+                       match="document 'loop': phrase 1: head chain never reaches"):
+        parse_corpus(CYCLE_DOC)
+
+
+def test_validate_flags_head_cycle():
+    doc = _doc([
+        make_phrase(1, lemma="neko", particles=("ga",), head=2),
+        make_phrase(2, lemma="inu", particles=("wo",), head=1),
+        make_phrase(3, lemma="miru", pos="verb"),
+    ], [
+        make_phrase(4, lemma="inu", particles=("ga",), head=5),
+        make_phrase(5, lemma="hoeru", pos="verb"),
+    ])
+    assert validate_discourse(doc) == [
+        "phrase 1: head chain never reaches the root of sentence 0",
+        "phrase 2: head chain never reaches the root of sentence 0",
+    ]
+
+
+def test_head_less_sentence_is_a_structural_error():
+    text = (
+        "#DOC t\n#SENT 0\n"
+        "1\tneko\tneko\tnoun\tcommon\tga\t2\t-\t-\t-\t-\n"
+        "2\tneta.\tneru\tverb\t-\t-\t1\t-\t-\t-\t-\n"
+    )
+    with pytest.raises(CorpusStructureError, match="never reaches the root"):
+        parse_discourse(text)

@@ -36,6 +36,11 @@ def test_reported_result_rows(correct, gold, system, recall, precision):
     assert recall in rendered and precision in rendered
 
 
+def test_wide_rates_keep_a_blank_between_columns():
+    rendered = _report(2000, 2000, 2000).render()
+    assert "non-verbal  100% (2000/2000) 100% (2000/2000)" in rendered.splitlines()
+
+
 def test_percent_rounds_halves_up():
     assert percent(20, 32) == 63     # 62.5 rounds up
     assert percent(1, 8) == 13       # 12.5 rounds up
