@@ -12,7 +12,8 @@ the defaults below are the shipped calibration.
     identity_points=30      points for a repeated definite noun phrase
     relational_points=30    points for the noun modified by a relational noun
     pseudo_points=10        points for the no-antecedent pseudo candidate
-    example_match_min_level=4   level at which example similarity satisfies a slot
+    example_match_min_level=4   level at which example similarity satisfies a slot;
+                                at most the similarity table's top level
     semantics=on            off fixes every similarity score to 0
     weight.focus.noun:no=12     extra salience row (class:particles[:punct])
 """
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Optional
 
+from ._frozen import reduce_by_fields
 from .salience import WeightRow, parse_weight_row
 
 DEFAULT_SIMILARITY_TABLE: dict[int, int] = {0: -30, 1: -20, 2: -10, 3: 0, 4: 7, 5: 10}
@@ -45,6 +48,13 @@ class ResolverConfig:
     example_match_min_level: int = 4
     semantics: bool = True
     extra_weight_rows: tuple[WeightRow, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "definiteness", MappingProxyType(dict(self.definiteness)))
+        object.__setattr__(
+            self, "similarity_table", MappingProxyType(dict(self.similarity_table)))
+
+    __reduce__ = reduce_by_fields
 
     @classmethod
     def default(cls) -> "ResolverConfig":
@@ -115,6 +125,13 @@ def load_config(path: Path | str, base: Optional[ResolverConfig] = None) -> Reso
             raise ConfigError(f"{path}: line {lineno}: {exc}") from None
 
     _check_similarity_table(similarity)
+    top = max(similarity)
+    if scalars["example_match_min_level"] > top:
+        # No level above the table's top can occur, so example matching
+        # would be switched off without a word.
+        raise ConfigError(
+            f"{path}: example_match_min_level={scalars['example_match_min_level']} "
+            f"is above the similarity table's top level {top}")
     return ResolverConfig(
         definiteness=definiteness,
         similarity_table=similarity,

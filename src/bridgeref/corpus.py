@@ -27,7 +27,10 @@ Documents are immutable once parsed; any number of readers may share them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional
+
+from ._frozen import reduce_by_fields
 
 PARTICLES = frozenset(
     "wa ga wo ni niwa mo da nara koso he de kara yori no".split())
@@ -95,14 +98,17 @@ class Sentence:
 class Discourse:
     doc_id: str
     sentences: tuple[Sentence, ...]
-    _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
+    _by_id: Mapping[int, tuple[Phrase, Sentence]] = field(
+        init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         index = {}
         for sent in self.sentences:
             for p in sent.phrases:
                 index[p.id] = (p, sent)
-        object.__setattr__(self, "_by_id", index)
+        object.__setattr__(self, "_by_id", MappingProxyType(index))
+
+    __reduce__ = reduce_by_fields
 
     def phrases(self) -> Iterator[Phrase]:
         for sent in self.sentences:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
+from ._frozen import reduce_by_fields
 from .corpus import Phrase
 from .salience import load_weight_rows
 
@@ -45,6 +47,11 @@ def _data_lines(text: str) -> Iterable[tuple[int, str]]:
 class Thesaurus:
     codes: Mapping[str, tuple[str, ...]]   # lemma -> one or more category codes
     max_depth: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "codes", MappingProxyType(dict(self.codes)))
+
+    __reduce__ = reduce_by_fields
 
     def lookup(self, lemma: str) -> tuple[str, ...]:
         return self.codes.get(lemma, ())
@@ -127,6 +134,12 @@ class CaseFrameDict:
     frames: Mapping[str, VerbCaseFrame]
     verbal_nouns: Mapping[str, str]     # verbal noun -> verb lemma
 
+    def __post_init__(self):
+        object.__setattr__(self, "frames", MappingProxyType(dict(self.frames)))
+        object.__setattr__(self, "verbal_nouns", MappingProxyType(dict(self.verbal_nouns)))
+
+    __reduce__ = reduce_by_fields
+
 
 def lookup_case_frame(lemma: str, frames: CaseFrameDict) -> Optional[VerbCaseFrame]:
     """Frame for a verb lemma, or for a verbal noun via its verb mapping."""
@@ -204,16 +217,20 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
 @dataclass(frozen=True)
 class XnoYStore:
     pairs: tuple[tuple[str, str], ...]
-    _by_y: dict = field(init=False, repr=False, compare=False, hash=False)
+    _by_y: Mapping[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         by_y: dict[str, list[str]] = {}
         for x, y in self.pairs:
             by_y.setdefault(y, []).append(x)
-        object.__setattr__(self, "_by_y", by_y)
+        object.__setattr__(self, "_by_y", MappingProxyType(
+            {y: tuple(xs) for y, xs in by_y.items()}))
+
+    __reduce__ = reduce_by_fields
 
     def modifiers_of(self, y: str) -> tuple[str, ...]:
-        return tuple(self._by_y.get(y, ()))
+        return self._by_y.get(y, ())
 
 
 def load_xnoy(path: Path | str) -> XnoYStore:
@@ -229,6 +246,11 @@ def load_xnoy(path: Path | str) -> XnoYStore:
 @dataclass(frozen=True)
 class NounAttributes:
     flags: Mapping[str, frozenset[str]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "flags", MappingProxyType(dict(self.flags)))
+
+    __reduce__ = reduce_by_fields
 
     def has(self, lemma: str, flag: str) -> bool:
         return flag in self.flags.get(lemma, frozenset())

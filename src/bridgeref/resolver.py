@@ -22,15 +22,20 @@ rules (R1..R6) and picks the candidate with the maximum summed score:
 Zero pronouns hold salience slots (they lengthen distances) but are never
 proposed as antecedents, and phrases scored through the subject path do not
 get a second topic/focus proposal.
+
+``resolve_discourse`` reads a document once: each phrase is classified once
+and scored from a record of the text before it, and each similarity is
+computed once per document.  ``resolve`` builds that record for one anaphor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .config import ResolverConfig
 from .corpus import Discourse, Phrase
 from .lexicons import (
+    CaseSlot,
     LexiconSet,
     VerbCaseFrame,
     lookup_case_frame,
@@ -39,7 +44,7 @@ from .lexicons import (
     similarity_score,
     xnoy_modifier_set,
 )
-from .salience import default_rows, ranks, salience_list
+from .salience import classify_salience, default_rows
 
 # Target modes.
 VERBAL = "VERBAL"
@@ -106,13 +111,7 @@ def referential_property(
     definite, anything else indefinite.
     """
     config = config or ResolverConfig.default()
-    prop = p.ref_property
-    if prop == "auto":
-        tokens = p.surface.split()
-        demonstrative = bool(tokens) and tokens[0] in ("kono", "sono", "ano")
-        mentioned = any(q.lemma == p.lemma and q.lemma for q in d.preceding(p.id))
-        prop = "definite" if demonstrative or mentioned else "indefinite"
-    return prop, config.definiteness[prop]
+    return _Sweep.before(p, d, config).referential_property(p)
 
 
 def _classify_target(phrase: Phrase, lex: LexiconSet) -> tuple[str, Optional[VerbCaseFrame]]:
@@ -166,76 +165,15 @@ def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
     ]
 
 
-def _modifier_similarity(lemma: str, modifiers: set[str], lex: LexiconSet,
-                         config: ResolverConfig) -> int:
-    if not config.semantics:
-        return 0
-    best = 0
-    for x in modifiers:
-        best = max(best, similarity_level(lemma, x, lex.thesaurus))
-    return similarity_score(best, config.similarity_table)
-
-
 def _salience_rows(lex: LexiconSet, config: ResolverConfig):
     return default_rows() + tuple(lex.weight_rows) + config.extra_weight_rows
-
-
-def _propose_salience_and_subjects(
-    anaphor: Phrase,
-    d: Discourse,
-    lex: LexiconSet,
-    config: ResolverConfig,
-    p_score: int,
-    rule: str,
-    score_candidate,
-) -> list[Proposal]:
-    """Shared body of R4/R5: subject-path proposals plus topic/focus proposals.
-
-    ``score_candidate`` returns the similarity score for a candidate phrase,
-    or None when the candidate must be excluded.
-    """
-    proposals: list[Proposal] = []
-    subjects = _subject_path(anaphor, d)
-    subject_ids = {p.id for p in subjects}
-    for candidate in subjects:
-        sim = score_candidate(candidate)
-        if sim is None:
-            continue
-        points = config.subject_base + p_score + sim
-        proposals.append(Proposal(
-            candidate.id, points, rule,
-            ScoreBreakdown(definiteness=p_score, similarity=sim,
-                           base=config.subject_base)))
-    entries = salience_list(d, anaphor, _salience_rows(lex, config))
-    dists = ranks(entries)
-    for entry in entries:
-        phrase = d.phrase(entry.phrase_id)
-        if phrase.is_zero_pronoun() or phrase.id in subject_ids:
-            continue
-        sim = score_candidate(phrase)
-        if sim is None:
-            continue
-        dist = dists[entry.seq]
-        points = entry.weight - dist + p_score + sim
-        proposals.append(Proposal(
-            phrase.id, points, rule,
-            ScoreBreakdown(definiteness=p_score, similarity=sim,
-                           weight=entry.weight, dist=dist)))
-    return proposals
 
 
 def propose_prior_mentions(anaphor: Phrase, d: Discourse,
                            config: ResolverConfig) -> list[Proposal]:
     """R1: a definite phrase repeating an earlier lemma is direct anaphora."""
-    if not anaphor.lemma:
-        return []
-    return [Proposal(p.id, config.identity_points, "R1")
-            for p in _earlier_nouns(anaphor.lemma, anaphor, d)]
-
-
-def _earlier_nouns(lemma: str, anaphor: Phrase, d: Discourse) -> list[Phrase]:
-    """Noun phrases with the given lemma that precede the anaphor."""
-    return [p for p in d.preceding(anaphor.id) if p.lemma == lemma and p.is_noun()]
+    return _Sweep.before(anaphor, d, config).mentions(
+        anaphor.lemma, config.identity_points, "R1")
 
 
 def propose_no_antecedent(prop: str, config: ResolverConfig) -> list[Proposal]:
@@ -247,52 +185,6 @@ def propose_no_antecedent(prop: str, config: ResolverConfig) -> list[Proposal]:
     return []
 
 
-def propose_from_modifier_examples(
-    anaphor: Phrase, d: Discourse, lex: LexiconSet,
-    config: ResolverConfig, p_score: int,
-) -> list[Proposal]:
-    """R4: score topics, foci and clause-chain subjects against "X no Y" data."""
-    modifiers = xnoy_modifier_set(anaphor.lemma, lex.xnoy, lex.attrs)
-
-    def score(candidate: Phrase) -> Optional[int]:
-        return _modifier_similarity(candidate.lemma, modifiers, lex, config)
-
-    return _propose_salience_and_subjects(
-        anaphor, d, lex, config, p_score, "R4", score)
-
-
-def propose_from_case_slot(
-    anaphor: Phrase, slot_case: str, frame, d: Discourse,
-    lex: LexiconSet, config: ResolverConfig, p_score: int,
-) -> list[Proposal]:
-    """R5: like R4, but candidates must satisfy the verb case frame slot."""
-    slot = frame.slot(slot_case)
-    if slot is None:
-        raise ValueError(
-            f"case frame of {frame.verb_lemma!r} has no {slot_case!r} slot")
-
-    def score(candidate: Phrase) -> Optional[int]:
-        ok, sim = satisfies_constraint(
-            candidate, slot, lex.thesaurus, config.similarity_table,
-            config.example_match_min_level)
-        if not ok:
-            return None
-        return sim if config.semantics else 0
-
-    return _propose_salience_and_subjects(
-        anaphor, d, lex, config, p_score, "R5", score)
-
-
-def propose_modified_noun(anaphor: Phrase, d: Discourse,
-                          config: ResolverConfig) -> list[Proposal]:
-    """R6: a relational noun modifying X with "no" -> earlier phrases named X."""
-    modified = _genitive_head(anaphor, d)
-    if modified is None or not modified.lemma:
-        return []
-    return [Proposal(p.id, config.relational_points, "R6")
-            for p in _earlier_nouns(modified.lemma, anaphor, d)]
-
-
 def _genitive_head(anaphor: Phrase, d: Discourse) -> Optional[Phrase]:
     """The noun the anaphor modifies via "no", if any."""
     if "no" not in anaphor.particles or anaphor.head_id is None:
@@ -301,14 +193,168 @@ def _genitive_head(anaphor: Phrase, d: Discourse) -> Optional[Phrase]:
     return head if head.is_noun() else None
 
 
-def _surface_slot(anaphor: Phrase) -> Optional[str]:
-    """Case slot the anaphor fills relative to its governing verb."""
+def _governing_slot(anaphor: Phrase, d: Discourse, lex: LexiconSet) -> Optional[CaseSlot]:
+    """The slot the anaphor fills in the case frame of its governing verb."""
+    verb = next((p for p in _head_chain(anaphor, d) if p.pos == "verb"), None)
+    frame = lookup_case_frame(verb.lemma, lex.case_frames) if verb is not None else None
+    if frame is None:
+        return None
     if anaphor.clause_role in _SUBJECT_ROLES:
-        return "ga"
-    for particle in anaphor.particles:
-        if particle in _SLOT_PARTICLES:
-            return _SLOT_PARTICLES[particle]
-    return None
+        return frame.slot("ga")
+    case = next((_SLOT_PARTICLES[x] for x in anaphor.particles if x in _SLOT_PARTICLES),
+                None)
+    return frame.slot(case) if case is not None else None
+
+
+class _Sweep:
+    """What one document holds before the phrase being resolved.
+
+    Phrases are added in document order.  Scores are cached for the whole
+    document, which is sound because lexicons and configs are immutable.
+    """
+
+    def __init__(self, d: Discourse, config: ResolverConfig, rows=()):
+        self.d, self.config, self.rows = d, config, rows
+        # (phrase, kind, weight, index among entries of its kind) of every
+        # salience entry but zero pronouns, which only count towards distance.
+        self.entries: list[tuple[Phrase, str, int, int]] = []
+        self.counts: dict[str, int] = {}                # entries so far, per kind
+        self.lemmas: set[str] = set()                   # non-empty lemmas so far
+        self.nouns: dict[str, list[Phrase]] = {}        # lemma -> noun phrases
+        # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
+        self.scores: dict[object, dict[tuple, Optional[int]]] = {}
+
+    @classmethod
+    def before(cls, anaphor: Phrase, d: Discourse, config: ResolverConfig,
+               rows=()) -> "_Sweep":
+        sweep = cls(d, config, rows)
+        for phrase in d.preceding(anaphor.id):
+            sweep.add(phrase)
+        return sweep
+
+    def add(self, phrase: Phrase) -> None:
+        classified = classify_salience(phrase, self.rows)
+        if classified is not None:
+            kind, weight = classified
+            index = self.counts.get(kind, 0)
+            self.counts[kind] = index + 1
+            if not phrase.is_zero_pronoun():
+                self.entries.append((phrase, kind, weight, index))
+        if phrase.lemma:
+            self.lemmas.add(phrase.lemma)
+            if phrase.is_noun():
+                self.nouns.setdefault(phrase.lemma, []).append(phrase)
+
+    def referential_property(self, p: Phrase) -> tuple[str, int]:
+        prop = p.ref_property
+        if prop == "auto":
+            tokens = p.surface.split()
+            demonstrative = bool(tokens) and tokens[0] in ("kono", "sono", "ano")
+            mentioned = p.lemma in self.lemmas
+            prop = "definite" if demonstrative or mentioned else "indefinite"
+        return prop, self.config.definiteness[prop]
+
+    def mentions(self, lemma: str, points: int, rule: str) -> list[Proposal]:
+        """R1/R6: one fixed proposal per earlier noun phrase with the lemma."""
+        return [Proposal(p.id, points, rule) for p in self.nouns.get(lemma, ())]
+
+    def resolve(self, anaphor: Phrase, mode: str, frame: Optional[VerbCaseFrame],
+                slot: Optional[str], lex: LexiconSet) -> ResolutionResult:
+        config = self.config
+        prop, p_score = self.referential_property(anaphor)
+        proposals: list[Proposal] = []
+        if mode != VERBAL and prop == "definite":
+            proposals.extend(self.mentions(anaphor.lemma, config.identity_points, "R1"))
+        proposals.extend(propose_no_antecedent(prop, config))
+
+        case_slot = None
+        if mode == NOMINAL:
+            modifiers = xnoy_modifier_set(anaphor.lemma, lex.xnoy, lex.attrs)
+
+            def similarity(candidate: Phrase) -> int:
+                if not config.semantics:
+                    return 0
+                best = max((similarity_level(candidate.lemma, x, lex.thesaurus)
+                            for x in modifiers), default=0)
+                return similarity_score(best, config.similarity_table)
+
+            proposals.extend(self._weighted(
+                anaphor, p_score, "R4", anaphor.lemma, similarity))
+        elif mode == VERBAL:
+            case_slot = frame.slot(slot)
+        elif (modified := _genitive_head(anaphor, self.d)) is not None:
+            proposals.extend(self.mentions(modified.lemma, config.relational_points, "R6"))
+        else:
+            case_slot = _governing_slot(anaphor, self.d, lex)
+
+        if case_slot is not None:
+            def fit(candidate: Phrase) -> Optional[int]:
+                ok, sim = satisfies_constraint(
+                    candidate, case_slot, lex.thesaurus, config.similarity_table,
+                    config.example_match_min_level)
+                if not ok:
+                    return None
+                return sim if config.semantics else 0
+
+            proposals.extend(self._weighted(anaphor, p_score, "R5", case_slot, fit))
+
+        totals: dict[Candidate, int] = {}
+        for proposal in proposals:
+            totals[proposal.candidate] = totals.get(proposal.candidate, 0) + proposal.points
+        winner: Optional[Candidate] = None
+        total = 0
+        if totals:
+            # Sort key: score first, then real-over-pseudo, then recency.
+            def rank(item):
+                candidate, points = item
+                is_real = isinstance(candidate, int)
+                return points, is_real, candidate if is_real else -1
+
+            winner, total = max(totals.items(), key=rank)
+        direct = isinstance(winner, int) and any(
+            pr.rule == "R1" and pr.candidate == winner for pr in proposals)
+        return ResolutionResult(anaphor.id, slot, winner, total, totals,
+                                tuple(proposals), direct)
+
+    def _weighted(self, anaphor: Phrase, p_score: int, rule: str, source,
+                  compute: Callable[[Phrase], Optional[int]]) -> list[Proposal]:
+        """Subject-path proposals plus topic/focus proposals of R4/R5.
+
+        ``compute`` returns a candidate's similarity score, or None when the
+        candidate must be excluded; it runs once per source and candidate
+        lemma and codes.
+        """
+        cache = self.scores.setdefault(source, {})
+
+        def score(candidate: Phrase) -> Optional[int]:
+            key = candidate.lemma, candidate.sem_codes
+            if key not in cache:
+                cache[key] = compute(candidate)
+            return cache[key]
+
+        proposals: list[Proposal] = []
+        base = self.config.subject_base
+        subject_ids = set()
+        for candidate in _subject_path(anaphor, self.d):
+            subject_ids.add(candidate.id)
+            sim = score(candidate)
+            if sim is not None:
+                proposals.append(Proposal(
+                    candidate.id, base + p_score + sim, rule,
+                    ScoreBreakdown(definiteness=p_score, similarity=sim, base=base)))
+        counts = self.counts
+        for phrase, kind, weight, index in self.entries:
+            if phrase.id in subject_ids:
+                continue
+            sim = score(phrase)
+            if sim is None:
+                continue
+            dist = counts[kind] - index
+            proposals.append(Proposal(
+                phrase.id, weight - dist + p_score + sim, rule,
+                ScoreBreakdown(definiteness=p_score, similarity=sim,
+                               weight=weight, dist=dist)))
+        return proposals
 
 
 def resolve(
@@ -334,58 +380,10 @@ def resolve(
                 f"verbal noun {anaphor.lemma!r} has no {slot!r} slot (has {slots})")
     elif slot is not None:
         raise ValueError(f"{mode} target does not take a case slot")
-
-    prop, p_score = referential_property(anaphor, d, config)
-    proposals: list[Proposal] = []
-    if mode != VERBAL and prop == "definite":
-        proposals.extend(propose_prior_mentions(anaphor, d, config))
-    proposals.extend(propose_no_antecedent(prop, config))
-
-    if mode == NOMINAL:
-        proposals.extend(propose_from_modifier_examples(
-            anaphor, d, lex, config, p_score))
-    elif mode == VERBAL:
-        proposals.extend(propose_from_case_slot(
-            anaphor, slot, frame, d, lex, config, p_score))
-    elif mode == RELATIONAL:
-        if _genitive_head(anaphor, d) is not None:
-            proposals.extend(propose_modified_noun(anaphor, d, config))
-        else:
-            verb = next((p for p in _head_chain(anaphor, d) if p.pos == "verb"), None)
-            frame = (lookup_case_frame(verb.lemma, lex.case_frames)
-                     if verb is not None else None)
-            verb_slot = _surface_slot(anaphor)
-            if frame is not None and verb_slot is not None \
-                    and frame.slot(verb_slot) is not None:
-                proposals.extend(propose_from_case_slot(
-                    anaphor, verb_slot, frame, d, lex, config, p_score))
-
-    totals: dict[Candidate, int] = {}
-    for proposal in proposals:
-        totals[proposal.candidate] = totals.get(proposal.candidate, 0) + proposal.points
-
-    winner: Optional[Candidate] = None
-    total = 0
-    if totals:
-        # Sort key: score first, then real-over-pseudo, then recency.
-        def rank(item):
-            candidate, points = item
-            is_real = isinstance(candidate, int)
-            return points, is_real, candidate if is_real else -1
-
-        winner, total = max(totals.items(), key=rank)
-
-    direct = isinstance(winner, int) and any(
-        pr.rule == "R1" and pr.candidate == winner for pr in proposals)
-    return ResolutionResult(
-        anaphor_id=anaphor.id,
-        slot=slot,
-        winner=winner,
-        total=total,
-        all_scores=totals,
-        proposals=tuple(proposals),
-        direct=direct,
-    )
+    if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
+        raise ValueError(f"anaphor {anaphor.id} is not part of document {d.doc_id!r}")
+    sweep = _Sweep.before(anaphor, d, config, _salience_rows(lex, config))
+    return sweep.resolve(anaphor, mode, frame, slot, lex)
 
 
 def resolve_discourse(
@@ -395,10 +393,12 @@ def resolve_discourse(
 ) -> list[ResolutionResult]:
     """Resolve every non-skipped target of a document, in document order."""
     config = config or ResolverConfig.default()
+    sweep = _Sweep(d, config, _salience_rows(lex, config))
     results = []
-    for target in detect_targets(d, lex):
-        if target.mode == SKIP:
-            continue
-        anaphor = d.phrase(target.phrase_id)
-        results.append(resolve(anaphor, target.slot, d, lex, config))
+    for phrase in d.phrases():
+        mode, frame = _classify_target(phrase, lex)
+        if mode != SKIP:
+            slots = frame.surface_cases() if mode == VERBAL else (None,)
+            results.extend(sweep.resolve(phrase, mode, frame, slot, lex) for slot in slots)
+        sweep.add(phrase)
     return results

@@ -184,6 +184,30 @@ def random_case(seed: int, force_ref=None) -> tuple[Discourse, LexiconSet]:
     return random_discourse(rng, lex, force_ref=force_ref)
 
 
+def random_long_case(seed: int) -> tuple[Discourse, LexiconSet]:
+    """A valid discourse of 60 to 150 phrases: random discourses back to back.
+
+    Each part is renumbered to follow the one before it; the parts share one
+    lexicon set, which each part may extend.
+    """
+    rng = random.Random(seed)
+    lex = random_lexicons(rng)
+    wanted = rng.randint(60, 138)        # a part adds at most 12 phrases
+    sentences = []
+    offset = 0
+    while offset < wanted:
+        part, lex = random_discourse(rng, lex)
+        for sent in part.sentences:
+            phrases = tuple(
+                dataclasses.replace(
+                    p, id=p.id + offset,
+                    head_id=None if p.head_id is None else p.head_id + offset)
+                for p in sent.phrases)
+            sentences.append(Sentence(index=len(sentences), phrases=phrases))
+        offset += sum(len(sent.phrases) for sent in part.sentences)
+    return Discourse(doc_id=f"long{seed}", sentences=tuple(sentences)), lex
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle
 # ---------------------------------------------------------------------------

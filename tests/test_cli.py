@@ -146,3 +146,14 @@ def test_case_frame_constraint_deeper_than_similarity_table(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "caseframes.txt" in captured.err and "'fukaku'" in captured.err
     assert "1234567" in captured.err and captured.out == ""
+
+
+def test_unreachable_example_match_level_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("example_match_min_level=9\n", encoding="utf-8")
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", CORPUS, "--lexicons", LEX,
+                 "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "example_match_min_level=9" in err
+    assert not out.exists()

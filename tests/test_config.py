@@ -97,3 +97,13 @@ def test_weights_file_is_picked_up_from_lexicon_dir(tmp_path):
     phrase = make_phrase(1, lemma="x", particles=("no",))
     rows = default_rows() + lexicons.weight_rows
     assert classify_salience(phrase, rows) == ("focus", 12)
+
+
+def test_load_config_rejects_unreachable_example_level(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("example_match_min_level=6\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="example_match_min_level=6") as excinfo:
+        load_config(path)
+    assert str(path) in str(excinfo.value)
+    path.write_text("example_match_min_level=6\nsim.6=12\n", encoding="utf-8")
+    assert load_config(path).example_match_min_level == 6

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -13,7 +14,8 @@ from bridgeref.corpus import (
     serialize_discourse,
     validate_discourse,
 )
-from randgen import make_phrase
+from bridgeref.data import DEMO_CORPUS
+from randgen import make_phrase, random_case
 
 
 def test_demo_corpus_layout(corpora):
@@ -213,3 +215,45 @@ def test_head_less_sentence_is_a_structural_error():
     )
     with pytest.raises(CorpusStructureError, match="never reaches the root"):
         parse_discourse(text)
+
+
+def test_serialize_parse_round_trip_on_random_discourses():
+    for seed in range(1000):
+        d, _ = random_case(seed)
+        assert parse_discourse(serialize_discourse(d)) == d
+
+
+# Replacement values for one field: empty, absent, wrong type, out of range,
+# unknown vocabulary, malformed lists and gold items, stray separators.
+_MUTANTS = (
+    "", "-", "*", "x", "0", "-1", "3", "999", "1.5", "none", "noun", "verb",
+    "zero_pronoun", "relational", "wa", "wa,zz", "ga,", ",", ".", "、",
+    "subject_main", "definite", "12,34", "rel=", "rel=NONE", "rel=a:NONE",
+    "rel=a:", "rel=a:x", "rel=a:1", "rel=a:99", "rel=a:1,b", "a\tb", "#SENT 0",
+    "#DOC", "%",
+)
+
+
+def test_mutated_demo_lines_raise_only_corpus_errors():
+    lines = DEMO_CORPUS.read_text(encoding="utf-8").splitlines()
+    data = [i for i, line in enumerate(lines) if line and not line.startswith("%")]
+    rng = random.Random(20)
+    outcomes = {"parsed": 0, "format": 0, "structure": 0}
+    for _ in range(2000):
+        i = rng.choice(data)
+        sep = "\t" if "\t" in lines[i] else " "
+        fields = lines[i].split(sep)
+        j = rng.randrange(len(fields))
+        if rng.random() < 0.8:
+            fields[j] = rng.choice(_MUTANTS)
+        else:
+            fields[j] = fields[j][:rng.randrange(len(fields[j]) + 1)]
+        mutated = lines[:i] + [sep.join(fields)] + lines[i + 1:]
+        try:
+            parse_corpus("\n".join(mutated))
+            outcomes["parsed"] += 1
+        except CorpusFormatError:
+            outcomes["format"] += 1
+        except CorpusStructureError:
+            outcomes["structure"] += 1
+    assert all(outcomes.values()), outcomes
