@@ -17,10 +17,15 @@ trailing ``,`` or ``.`` on the surface is stripped into ``punct_after``.
 ``gold`` is ``-`` or a comma-joined list of ``rel=<label>:<id>``,
 ``rel=<label>:NONE`` and bare ``rel=NONE`` items.
 
-Parsing reports the first violation ``validate_discourse`` finds in each
-document as a ``CorpusStructureError``: dangling heads, head chains that
-never reach the sentence root (cycles, head-less sentences), non-increasing
-ids and gold antecedents that do not precede their phrase.
+One set of rules covers a phrase's own fields: a noun needs a known
+subtype, particles, clause roles and referential properties must be known
+values, and a zero pronoun has surface ``*`` and a zero-pronoun particle.
+Parsing reports the first broken rule as a ``CorpusFormatError`` naming the
+line and field; ``validate_discourse`` reports each as ``phrase <id>:`` and
+the same message.  Parsing then reports the first structural violation of
+each document as a ``CorpusStructureError``: dangling heads, head chains
+that never reach the sentence root (cycles, head-less sentences),
+non-increasing ids and gold antecedents that do not precede their phrase.
 
 Documents are immutable once parsed; any number of readers may share them.
 """
@@ -86,12 +91,6 @@ class Phrase:
 class Sentence:
     index: int
     phrases: tuple[Phrase, ...]
-
-    def root(self) -> Optional[Phrase]:
-        for p in self.phrases:
-            if p.head_id is None:
-                return p
-        return None
 
 
 @dataclass(frozen=True)
@@ -192,29 +191,6 @@ def _parse_record(line: str, lineno: int) -> Phrase:
     if pos == "-" or not pos:
         raise CorpusFormatError(f"line {lineno}: field 'pos': missing")
 
-    noun_subtype: Optional[str] = None if subtype == "-" else subtype
-    if noun_subtype is not None and noun_subtype not in NOUN_SUBTYPES:
-        raise CorpusFormatError(
-            f"line {lineno}: field 'subtype': unknown value {subtype!r}")
-    if pos == "noun" and noun_subtype is None:
-        raise CorpusFormatError(
-            f"line {lineno}: field 'subtype': required for noun phrases")
-
-    particle_list = _split_list(particles)
-    for particle in particle_list:
-        if particle not in PARTICLES:
-            raise CorpusFormatError(
-                f"line {lineno}: field 'particles': unknown particle {particle!r}")
-
-    if noun_subtype == "zero_pronoun":
-        if surface:
-            raise CorpusFormatError(
-                f"line {lineno}: field 'surface': zero pronoun must use surface '*'")
-        if not particle_list or any(p not in ZERO_PRONOUN_PARTICLES for p in particle_list):
-            raise CorpusFormatError(
-                f"line {lineno}: field 'particles': zero pronoun needs a particle "
-                f"from {sorted(ZERO_PRONOUN_PARTICLES)}")
-
     if head == "-":
         head_id = None
     else:
@@ -223,30 +199,44 @@ def _parse_record(line: str, lineno: int) -> Phrase:
         except ValueError:
             raise CorpusFormatError(f"line {lineno}: field 'head': not an integer: {head!r}") from None
 
-    role = "other" if clause_role == "-" else clause_role
-    if role not in CLAUSE_ROLES:
-        raise CorpusFormatError(
-            f"line {lineno}: field 'clause_role': unknown value {clause_role!r}")
-
-    ref = "auto" if refprop == "-" else refprop
-    if ref not in REF_PROPERTIES:
-        raise CorpusFormatError(
-            f"line {lineno}: field 'refprop': unknown value {refprop!r}")
-
-    return Phrase(
+    phrase = Phrase(
         id=phrase_id,
         surface=surface,
         lemma=lemma,
         pos=pos,
-        noun_subtype=noun_subtype,
-        particles=particle_list,
+        noun_subtype=None if subtype == "-" else subtype,
+        particles=_split_list(particles),
         punct_after=punct_after,
         head_id=head_id,
-        clause_role=role,
+        clause_role="other" if clause_role == "-" else clause_role,
         sem_codes=_split_list(sem_codes),
-        ref_property=ref,
+        ref_property="auto" if refprop == "-" else refprop,
         gold_antecedents=_parse_gold(gold, lineno),
     )
+    for name, message in _field_faults(phrase):
+        raise CorpusFormatError(f"line {lineno}: field '{name}': {message}")
+    return phrase
+
+
+def _field_faults(p: Phrase) -> Iterator[tuple[str, str]]:
+    """The rules on a phrase's own fields: (ADC field, message) per violation."""
+    if p.noun_subtype is not None and p.noun_subtype not in NOUN_SUBTYPES:
+        yield "subtype", f"unknown noun subtype {p.noun_subtype!r}"
+    elif p.pos == "noun" and p.noun_subtype is None:
+        yield "subtype", "noun phrases need a subtype"
+    for particle in p.particles:
+        if particle not in PARTICLES:
+            yield "particles", f"unknown particle {particle!r}"
+    if p.is_zero_pronoun():
+        if p.surface:
+            yield "surface", "zero pronoun must use surface '*'"
+        if not p.particles or any(x not in ZERO_PRONOUN_PARTICLES for x in p.particles):
+            yield "particles", ("zero pronoun needs a particle from "
+                                f"{sorted(ZERO_PRONOUN_PARTICLES)}")
+    if p.clause_role not in CLAUSE_ROLES:
+        yield "clause_role", f"unknown clause role {p.clause_role!r}"
+    if p.ref_property not in REF_PROPERTIES:
+        yield "refprop", f"unknown referential property {p.ref_property!r}"
 
 
 def parse_corpus(text: str) -> list[Discourse]:
@@ -268,7 +258,7 @@ def parse_corpus(text: str) -> list[Discourse]:
         if doc_id is not None:
             close_sentence()
             document = Discourse(doc_id=doc_id, sentences=tuple(sentences))
-            violations = validate_discourse(document)
+            violations = _structure_violations(document)
             if violations:
                 raise CorpusStructureError(f"document {doc_id!r}: {violations[0]}")
             documents.append(document)
@@ -368,6 +358,12 @@ def serialize_corpus(documents: list[Discourse]) -> str:
 
 def validate_discourse(d: Discourse) -> list[str]:
     """Return a list of invariant violations; empty when the document is sound."""
+    return [f"phrase {p.id}: {message}"
+            for p in d.phrases() for _, message in _field_faults(p)] + _structure_violations(d)
+
+
+def _structure_violations(d: Discourse) -> list[str]:
+    """The rules on how a document's phrases fit together."""
     violations: list[str] = []
     for expected, sent in enumerate(d.sentences):
         if sent.index != expected:
@@ -405,25 +401,6 @@ def validate_discourse(d: Discourse) -> list[str]:
                 violations.append(
                     f"phrase {p.id}: head chain never reaches the root of "
                     f"sentence {sent.index}")
-            if p.pos == "noun" and p.noun_subtype not in NOUN_SUBTYPES:
-                violations.append(f"phrase {p.id}: noun without a valid subtype")
-            if p.is_zero_pronoun():
-                if p.surface:
-                    violations.append(
-                        f"phrase {p.id}: zero pronoun must have empty surface")
-                if not p.particles or any(
-                        x not in ZERO_PRONOUN_PARTICLES for x in p.particles):
-                    violations.append(
-                        f"phrase {p.id}: zero pronoun needs a particle from "
-                        f"{sorted(ZERO_PRONOUN_PARTICLES)}")
-            for particle in p.particles:
-                if particle not in PARTICLES:
-                    violations.append(f"phrase {p.id}: unknown particle {particle!r}")
-            if p.clause_role not in CLAUSE_ROLES:
-                violations.append(f"phrase {p.id}: unknown clause role {p.clause_role!r}")
-            if p.ref_property not in REF_PROPERTIES:
-                violations.append(
-                    f"phrase {p.id}: unknown referential property {p.ref_property!r}")
             for gold in p.gold_antecedents:
                 if gold.antecedent_id is None:
                     continue

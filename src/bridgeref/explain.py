@@ -1,13 +1,16 @@
 """Render a resolution as a per-candidate score table.
 
-One column per candidate (pseudo candidate first, then real candidates most
-recent first); one row per rule that fired, detail rows for the weighted
-paths, and a closing Total Score row.
+A title line, then a header with one column per candidate (pseudo candidate
+first, then real candidates most recent first); one row per rule that fired,
+detail rows for the weighted paths, and a closing Total Score row.
+``parse_total_row`` reads the Total Score row back through the same labels.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from .corpus import Discourse
-from .resolver import ResolutionResult
+from .resolver import PSEUDO_GENERIC, PSEUDO_INDEFINITE, ResolutionResult
 
 _RULE_ORDER = ("R1", "R2", "R3", "R4", "R5", "R6")
 TOTAL_ROW = "Total Score"
@@ -19,19 +22,18 @@ def _column_order(result: ResolutionResult) -> list:
     return pseudo + real
 
 
-def _labels(columns: list, discourse: Discourse) -> dict:
-    labels = {}
-    seen: dict[str, int] = {}
-    for c in columns:
-        if isinstance(c, str):
-            labels[c] = c
-            continue
-        lemma = discourse.phrase(c).lemma or f"phrase{c}"
-        seen[lemma] = seen.get(lemma, 0) + 1
-        labels[c] = lemma
-    for c in columns:
-        if isinstance(c, int) and seen[labels[c]] > 1:
-            labels[c] = f"{labels[c]}#{c}"
+def _labels(discourse: Discourse) -> dict:
+    """Column label of every candidate the document can produce.
+
+    Pseudo candidates keep their names.  A phrase is labelled with its
+    lemma, plus ``#id`` when the lemma occurs more than once in the document
+    or is also a pseudo candidate's name, so no two candidates share a label.
+    """
+    labels: dict = {c: c for c in (PSEUDO_INDEFINITE, PSEUDO_GENERIC)}
+    names = {p.id: p.lemma or f"phrase{p.id}" for p in discourse.phrases()}
+    counts = Counter([*labels, *names.values()])
+    labels.update((c, f"{name}#{c}" if counts[name] > 1 else name)
+                  for c, name in names.items())
     return labels
 
 
@@ -42,7 +44,7 @@ def _cell(value) -> str:
 def render_score_table(result: ResolutionResult, discourse: Discourse) -> str:
     anaphor = discourse.phrase(result.anaphor_id)
     columns = _column_order(result)
-    labels = _labels(columns, discourse)
+    labels = _labels(discourse)
     detailed: dict = {}      # candidate -> weighted-path proposal (R4/R5)
     for proposal in result.proposals:
         if proposal.breakdown is not None:
@@ -97,25 +99,8 @@ def render_score_table(result: ResolutionResult, discourse: Discourse) -> str:
 def parse_total_row(table: str, discourse: Discourse) -> dict:
     """Read the Total Score row back into an all_scores mapping."""
     lines = table.splitlines()
-    header = next((line for line in lines if " | " in line), None)
-    if header is None:
-        raise ValueError("no header row in score table")
-    names = [cell.strip() for cell in header.split("|")][1:]
+    names = [cell.strip() for cell in lines[1].split("|")][1:]
     totals_line = next(line for line in lines if line.startswith(TOTAL_ROW))
     values = [cell.strip() for cell in totals_line.split("|")][1:]
-    by_lemma = {}
-    for phrase in discourse.phrases():
-        if phrase.lemma:
-            by_lemma.setdefault(phrase.lemma, phrase.id)
-    scores = {}
-    for name, value in zip(names, values):
-        if not value:
-            continue
-        if name in ("INDEFINITE", "GENERIC"):
-            key = name
-        elif "#" in name:
-            key = int(name.rsplit("#", 1)[1])
-        else:
-            key = by_lemma[name]
-        scores[key] = int(value)
-    return scores
+    candidates = {label: c for c, label in _labels(discourse).items()}
+    return {candidates[name]: int(value) for name, value in zip(names, values) if value}

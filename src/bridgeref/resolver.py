@@ -114,19 +114,24 @@ def referential_property(
     return _Sweep.before(p, d, config).referential_property(p)
 
 
-def _classify_target(phrase: Phrase, lex: LexiconSet) -> tuple[str, Optional[VerbCaseFrame]]:
-    """Mode of one noun phrase, plus the case frame of verbal targets."""
+def _classify_target(phrase: Phrase, lex: LexiconSet
+                     ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
+    """Mode of one phrase, the case frame of verbal targets, and its slots.
+
+    A verbal target has one slot per surface case of its frame; any other
+    phrase has the single slot None.
+    """
     if not phrase.is_noun() or phrase.noun_subtype in ("pronoun", "zero_pronoun"):
-        return SKIP, None
+        return SKIP, None, (None,)
     if phrase.noun_subtype == "verbal":
         frame = lookup_case_frame(phrase.lemma, lex.case_frames)
         if frame is not None:
-            return VERBAL, frame
+            return VERBAL, frame, frame.surface_cases()
     if phrase.noun_subtype == "relational" or lex.attrs.has(phrase.lemma, "relational"):
-        return RELATIONAL, None
+        return RELATIONAL, None, (None,)
     if xnoy_modifier_set(phrase.lemma, lex.xnoy, lex.attrs):
-        return NOMINAL, None
-    return SKIP, None
+        return NOMINAL, None, (None,)
+    return SKIP, None, (None,)
 
 
 def detect_targets(d: Discourse, lex: LexiconSet) -> list[Target]:
@@ -135,11 +140,8 @@ def detect_targets(d: Discourse, lex: LexiconSet) -> list[Target]:
     for phrase in d.phrases():
         if not phrase.is_noun():
             continue
-        mode, frame = _classify_target(phrase, lex)
-        if mode == VERBAL:
-            targets.extend(Target(phrase.id, mode, slot) for slot in frame.surface_cases())
-        else:
-            targets.append(Target(phrase.id, mode))
+        mode, _, slots = _classify_target(phrase, lex)
+        targets.extend(Target(phrase.id, mode, slot) for slot in slots)
     return targets
 
 
@@ -370,15 +372,13 @@ def resolve(
     tie against a real phrase.
     """
     config = config or ResolverConfig.default()
-    mode, frame = _classify_target(anaphor, lex)
+    mode, frame, slots = _classify_target(anaphor, lex)
     if mode == SKIP:
         raise ValueError(f"phrase {anaphor.id} is not an anaphora target")
-    if mode == VERBAL:
-        slots = frame.surface_cases()
-        if slot not in slots:
+    if slot not in slots:
+        if mode == VERBAL:
             raise ValueError(
                 f"verbal noun {anaphor.lemma!r} has no {slot!r} slot (has {slots})")
-    elif slot is not None:
         raise ValueError(f"{mode} target does not take a case slot")
     if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
         raise ValueError(f"anaphor {anaphor.id} is not part of document {d.doc_id!r}")
@@ -396,9 +396,8 @@ def resolve_discourse(
     sweep = _Sweep(d, config, _salience_rows(lex, config))
     results = []
     for phrase in d.phrases():
-        mode, frame = _classify_target(phrase, lex)
+        mode, frame, slots = _classify_target(phrase, lex)
         if mode != SKIP:
-            slots = frame.surface_cases() if mode == VERBAL else (None,)
             results.extend(sweep.resolve(phrase, mode, frame, slot, lex) for slot in slots)
         sweep.add(phrase)
     return results

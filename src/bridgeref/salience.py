@@ -109,25 +109,16 @@ def salience_list(
     return entries
 
 
-def ranks(entries: list[SalienceEntry]) -> dict[int, int]:
-    """Backward rank of every entry among same-kind entries, keyed by ``seq``.
-
-    The most recent entry of a kind has rank 1; every further same-kind entry
-    between an entry and the end of the list adds 1.
-    """
-    out: dict[int, int] = {}
-    seen_of_kind: dict[str, int] = {}
-    for entry in reversed(entries):
-        seen_of_kind[entry.kind] = seen_of_kind.get(entry.kind, 0) + 1
-        out[entry.seq] = seen_of_kind[entry.kind]
-    return out
-
-
 def distance(entry: SalienceEntry, anaphor: Phrase, entries: list[SalienceEntry]) -> int:
-    """Backward rank of an entry among same-kind entries before the anaphor."""
+    """Backward rank of an entry among same-kind entries before the anaphor.
+
+    Counts the entries of the entry's kind from the entry itself to the last
+    entry before the anaphor, so the most recent such entry has rank 1.
+    """
     if entry not in entries:
         raise ValueError(f"salience entry for phrase {entry.phrase_id} not in list")
-    return ranks([e for e in entries if e.phrase_id < anaphor.id or e == entry])[entry.seq]
+    return sum(1 for e in entries[entries.index(entry):]
+               if e.kind == entry.kind and (e.phrase_id < anaphor.id or e == entry))
 
 
 def parse_weight_row(kind: str, pattern: str, weight: int) -> WeightRow:

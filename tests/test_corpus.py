@@ -257,3 +257,46 @@ def test_mutated_demo_lines_raise_only_corpus_errors():
         except CorpusStructureError:
             outcomes["structure"] += 1
     assert all(outcomes.values()), outcomes
+
+
+_GOOD_RECORD = ["1", "neko", "neko", "noun", "common", "ga", "2", "-", "-", "-", "-"]
+_COLUMNS = {"surface": 1, "lemma": 2, "subtype": 4, "particles": 5,
+            "clause_role": 7, "refprop": 9}
+_ZERO = {"surface": "*", "lemma": "-", "subtype": "zero_pronoun"}
+_ZERO_PHRASE = {"surface": "", "lemma": "", "noun_subtype": "zero_pronoun"}
+
+
+@pytest.mark.parametrize("field,record,fields", [
+    pytest.param("subtype", {"subtype": "animal"}, {"noun_subtype": "animal"},
+                 id="unknown-subtype"),
+    pytest.param("subtype", {"subtype": "-"}, {"noun_subtype": None},
+                 id="noun-without-subtype"),
+    pytest.param("particles", {"particles": "ga,zzz"}, {"particles": ("ga", "zzz")},
+                 id="unknown-particle"),
+    pytest.param("surface", {**_ZERO, "surface": "kare"},
+                 {**_ZERO_PHRASE, "surface": "kare"}, id="zero-pronoun-surface"),
+    pytest.param("particles", {**_ZERO, "particles": "he"},
+                 {**_ZERO_PHRASE, "particles": ("he",)}, id="zero-pronoun-particle"),
+    pytest.param("particles", {**_ZERO, "particles": "-"},
+                 {**_ZERO_PHRASE, "particles": ()}, id="zero-pronoun-no-particle"),
+    pytest.param("clause_role", {"clause_role": "subject"}, {"clause_role": "subject"},
+                 id="unknown-clause-role"),
+    pytest.param("refprop", {"refprop": "specific"}, {"ref_property": "specific"},
+                 id="unknown-refprop"),
+])
+def test_field_rule_reads_the_same_when_parsing_and_validating(field, record, fields):
+    columns = list(_GOOD_RECORD)
+    for name, value in record.items():
+        columns[_COLUMNS[name]] = value
+    text = ("#DOC t\n#SENT 0\n" + "\t".join(columns) + "\n"
+            "2\tneta.\tneru\tverb\t-\t-\t-\t-\t-\t-\t-\n")
+    with pytest.raises(CorpusFormatError) as raised:
+        parse_discourse(text)
+    prefix = f"line 3: field '{field}': "
+    assert str(raised.value).startswith(prefix)
+    message = str(raised.value)[len(prefix):]
+
+    phrase = dataclasses.replace(
+        make_phrase(1, lemma="neko", particles=("ga",), head=2), **fields)
+    doc = _doc([phrase, make_phrase(2, lemma="neru", pos="verb")])
+    assert validate_discourse(doc) == [f"phrase 1: {message}"]

@@ -1,5 +1,8 @@
+from bridgeref.config import ResolverConfig
+from bridgeref.corpus import parse_discourse
 from bridgeref.explain import parse_total_row, render_score_table
 from bridgeref.resolver import resolve, resolve_discourse
+from randgen import random_case
 
 
 def test_official_rate_table(corpora, lexicons):
@@ -68,3 +71,56 @@ def test_duplicate_lemmas_get_disambiguated(corpora, lexicons):
     table = render_score_table(result, doc)
     assert "ie#1" in table and "ie#3" in table
     assert parse_total_row(table, doc) == result.all_scores
+
+
+def test_total_row_round_trips_on_random_discourses():
+    default = ResolverConfig.default()
+    for seed in range(1000):
+        doc, lex = random_case(seed)
+        for config in (default, default.without_semantics()):
+            for result in resolve_discourse(doc, lex, config):
+                table = render_score_table(result, doc)
+                assert parse_total_row(table, doc) == result.all_scores, (seed, table)
+
+
+def test_repeated_lemma_is_labelled_even_when_one_column_has_it(lexicons):
+    # ie#1 is no candidate of yane, but a bare "ie" column could mean either.
+    doc = parse_discourse(
+        "#DOC t\n#SENT 0\n"
+        "1\tie\tie\tnoun\tcommon\t-\t2\t-\t-\t-\t-\n"
+        "2\tmita.\tmiru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+        "#SENT 1\n"
+        "3\tie\tie\tnoun\tcommon\twa\t4\t-\t-\t-\t-\n"
+        "4\tatta.\taru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+        "#SENT 2\n"
+        "5\tyane\tyane\tnoun\tcommon\tga\t6\t-\t-\tindefinite\t-\n"
+        "6\tmieta.\tmieru\tverb\t-\t-\t-\t-\t-\t-\t-\n")
+    result = resolve(doc.phrase(5), None, doc, lexicons)
+    assert result.all_scores == {"INDEFINITE": 10, 3: 24}
+    table = render_score_table(result, doc)
+    assert "ie#3" in table.splitlines()[1]
+    assert parse_total_row(table, doc) == {"INDEFINITE": 10, 3: 24}
+
+
+def test_table_without_candidates_reads_back_empty(lexicons):
+    doc = parse_discourse(
+        "#DOC t\n#SENT 0\n"
+        "1\tyane\tyane\tnoun\tcommon\tga\t2\t-\t-\tdefinite\t-\n"
+        "2\tmieta.\tmieru\tverb\t-\t-\t-\t-\t-\t-\t-\n")
+    result = resolve(doc.phrase(1), None, doc, lexicons)
+    assert result.all_scores == {}
+    assert parse_total_row(render_score_table(result, doc), doc) == {}
+
+
+def test_lemma_named_like_a_pseudo_candidate_gets_its_id(lexicons):
+    doc = parse_discourse(
+        "#DOC t\n#SENT 0\n"
+        "1\tINDEFINITE\tINDEFINITE\tnoun\tcommon\twa\t2\t-\t-\t-\t-\n"
+        "2\tatta.\taru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+        "#SENT 1\n"
+        "3\tyane\tyane\tnoun\tcommon\tga\t4\t-\t-\tindefinite\t-\n"
+        "4\tmieta.\tmieru\tverb\t-\t-\t-\t-\t-\t-\t-\n")
+    result = resolve(doc.phrase(3), None, doc, lexicons)
+    table = render_score_table(result, doc)
+    assert "INDEFINITE#1" in table.splitlines()[1]
+    assert parse_total_row(table, doc) == result.all_scores == {"INDEFINITE": 10, 1: -16}
