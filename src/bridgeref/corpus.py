@@ -65,7 +65,7 @@ class GoldAntecedent(NamedTuple):
     antecedent_id: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phrase:
     id: int
     surface: str
@@ -87,7 +87,7 @@ class Phrase:
         return self.pos == "noun"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     index: int
     phrases: tuple[Phrase, ...]

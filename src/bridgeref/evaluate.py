@@ -4,6 +4,8 @@ Recall is the fraction of targets with a gold antecedent that the system
 got right; precision is the fraction of targets the system judged to have
 an antecedent that were right.  Verbal nouns are counted once per case
 slot, and a pseudo-candidate winner counts as a negative system judgement.
+A predictions file may leave units out, but lists each one at most once,
+and every winner it names must be a phrase of the document.
 """
 from __future__ import annotations
 
@@ -49,7 +51,9 @@ def serialize_predictions(predictions: Iterable[Prediction]) -> str:
 
 
 def parse_predictions(text: str) -> list[Prediction]:
+    """Read a predictions file; each (doc, anaphor, slot) unit may occur once."""
     predictions = []
+    first_line: dict[tuple, int] = {}      # unit -> line that listed it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -68,6 +72,12 @@ def parse_predictions(text: str) -> list[Prediction]:
             ))
         except ValueError:
             raise ValueError(f"predictions line {lineno}: bad integer field") from None
+        unit = predictions[-1][:3]
+        if unit in first_line:
+            raise ValueError(
+                f"predictions lines {first_line[unit]} and {lineno}: both score "
+                f"{doc_id}:{anaphor} slot {slot}")
+        first_line[unit] = lineno
     return predictions
 
 
@@ -168,6 +178,10 @@ def evaluate(
         if not phrase.gold_antecedents:
             raise ValueError(
                 f"no gold record for anaphor {prediction.doc_id}:{prediction.anaphor_id}")
+        if prediction.winner is not None and not discourse.has_phrase(prediction.winner):
+            raise ValueError(
+                f"prediction for {prediction.doc_id}:{prediction.anaphor_id} names "
+                f"antecedent {prediction.winner}, which the document lacks")
         gold_ids = _gold_ids(discourse, prediction)
         gold = bool(gold_ids)
         system = prediction.winner is not None

@@ -6,7 +6,8 @@ All four resources are plain UTF-8 files with ``%`` comment lines:
                   shared prefix means a shared category (longer = closer).
 * case frames:    blocks of ``verb <lemma>`` followed by
                   ``slot case=<c> constraints=<codes,> examples=<lemmas,>``
-                  lines, plus ``vn <noun> -> <verb>`` mappings for verbal nouns.
+                  lines, plus ``vn <noun> -> <verb>`` mappings for verbal nouns;
+                  each mapped verb needs a block in the same file.
 * genitive pairs: ``x<TAB>y`` per line, one line per observed "X no Y" example.
 * noun attributes: ``lemma<TAB>flag[,flag...]`` with flags from
                   adjectival / numeral / temporal / non_anaphoric / relational.
@@ -162,6 +163,7 @@ def _parse_kv(token: str, key: str, path, lineno: int) -> str:
 def load_case_frames(path: Path | str) -> CaseFrameDict:
     frames: dict[str, VerbCaseFrame] = {}
     verbal_nouns: dict[str, str] = {}
+    mapped_at: dict[str, int] = {}      # verbal noun -> line of its mapping
     current_verb: Optional[str] = None
     current_slots: list[CaseSlot] = []
 
@@ -208,9 +210,15 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
                 raise LexiconFormatError(
                     f"{path}: line {lineno}: expected 'vn <noun> -> <verb>'")
             verbal_nouns[tokens[1]] = tokens[3]
+            mapped_at[tokens[1]] = lineno
         else:
             raise LexiconFormatError(f"{path}: line {lineno}: unknown directive {tokens[0]!r}")
     close()
+    for noun, verb in verbal_nouns.items():
+        if verb not in frames:
+            raise LexiconFormatError(
+                f"{path}: line {mapped_at[noun]}: verbal noun {noun!r} maps to "
+                f"unknown verb {verb!r}")
     return CaseFrameDict(frames=frames, verbal_nouns=verbal_nouns)
 
 

@@ -63,7 +63,7 @@ _SLOT_PARTICLES = {"ga": "ga", "wo": "wo", "ni": "ni", "niwa": "ni",
                    "de": "de", "kara": "kara", "he": "he"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreBreakdown:
     """Score components of one salience or subject proposal."""
     definiteness: int
@@ -73,7 +73,7 @@ class ScoreBreakdown:
     base: Optional[int] = None        # fixed base, subject path only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     candidate: Candidate
     points: int
@@ -81,14 +81,14 @@ class Proposal:
     breakdown: Optional[ScoreBreakdown] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Target:
     phrase_id: int
     mode: str                          # VERBAL | RELATIONAL | NOMINAL | SKIP
     slot: Optional[str] = None         # surface case, VERBAL targets only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolutionResult:
     anaphor_id: int
     slot: Optional[str]
@@ -225,6 +225,8 @@ class _Sweep:
         self.nouns: dict[str, list[Phrase]] = {}        # lemma -> noun phrases
         # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
         self.scores: dict[object, dict[tuple, Optional[int]]] = {}
+        # the same source -> score of each entry, in the order of self.entries
+        self.sims: dict[object, list[Optional[int]]] = {}
 
     @classmethod
     def before(cls, anaphor: Phrase, d: Discourse, config: ResolverConfig,
@@ -264,10 +266,10 @@ class _Sweep:
                 slot: Optional[str], lex: LexiconSet) -> ResolutionResult:
         config = self.config
         prop, p_score = self.referential_property(anaphor)
-        proposals: list[Proposal] = []
+        direct_proposals: list[Proposal] = []
         if mode != VERBAL and prop == "definite":
-            proposals.extend(self.mentions(anaphor.lemma, config.identity_points, "R1"))
-        proposals.extend(propose_no_antecedent(prop, config))
+            direct_proposals = self.mentions(anaphor.lemma, config.identity_points, "R1")
+        proposals = direct_proposals + propose_no_antecedent(prop, config)
 
         case_slot = None
         if mode == NOMINAL:
@@ -306,15 +308,12 @@ class _Sweep:
         winner: Optional[Candidate] = None
         total = 0
         if totals:
-            # Sort key: score first, then real-over-pseudo, then recency.
-            def rank(item):
-                candidate, points = item
-                is_real = isinstance(candidate, int)
-                return points, is_real, candidate if is_real else -1
-
-            winner, total = max(totals.items(), key=rank)
-        direct = isinstance(winner, int) and any(
-            pr.rule == "R1" and pr.candidate == winner for pr in proposals)
+            # Score first, then a real phrase over a pseudo candidate, then
+            # recency: the latest tied phrase, else the first tied pseudo one.
+            total = max(totals.values())
+            tied = [candidate for candidate, points in totals.items() if points == total]
+            winner = max((c for c in tied if isinstance(c, int)), default=tied[0])
+        direct = any(pr.candidate == winner for pr in direct_proposals)
         return ResolutionResult(anaphor.id, slot, winner, total, totals,
                                 tuple(proposals), direct)
 
@@ -324,7 +323,8 @@ class _Sweep:
 
         ``compute`` returns a candidate's similarity score, or None when the
         candidate must be excluded; it runs once per source and candidate
-        lemma and codes.
+        lemma and codes.  Each entry is scored once per source, when the
+        first target after it asks for that source.
         """
         cache = self.scores.setdefault(source, {})
 
@@ -334,28 +334,25 @@ class _Sweep:
                 cache[key] = compute(candidate)
             return cache[key]
 
+        sims = self.sims.setdefault(source, [])
+        sims.extend(score(entry[0]) for entry in self.entries[len(sims):])
         proposals: list[Proposal] = []
+        append = proposals.append
         base = self.config.subject_base
         subject_ids = set()
         for candidate in _subject_path(anaphor, self.d):
             subject_ids.add(candidate.id)
             sim = score(candidate)
             if sim is not None:
-                proposals.append(Proposal(
-                    candidate.id, base + p_score + sim, rule,
-                    ScoreBreakdown(definiteness=p_score, similarity=sim, base=base)))
+                append(Proposal(candidate.id, base + p_score + sim, rule,
+                                ScoreBreakdown(p_score, sim, None, None, base)))
         counts = self.counts
-        for phrase, kind, weight, index in self.entries:
-            if phrase.id in subject_ids:
-                continue
-            sim = score(phrase)
-            if sim is None:
+        for (phrase, kind, weight, index), sim in zip(self.entries, sims):
+            if sim is None or phrase.id in subject_ids:
                 continue
             dist = counts[kind] - index
-            proposals.append(Proposal(
-                phrase.id, weight - dist + p_score + sim, rule,
-                ScoreBreakdown(definiteness=p_score, similarity=sim,
-                               weight=weight, dist=dist)))
+            append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
+                            ScoreBreakdown(p_score, sim, weight, dist)))
         return proposals
 
 

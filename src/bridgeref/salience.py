@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .corpus import Discourse, Phrase
+from .corpus import PARTICLES, Discourse, Phrase
 
 TOPIC = "topic"
 FOCUS = "focus"
@@ -132,6 +132,8 @@ def parse_weight_row(kind: str, pattern: str, weight: int) -> WeightRow:
     if word_class not in ("noun", "pronoun"):
         raise ValueError(f"weight row class must be noun or pronoun, got {word_class!r}")
     particles = frozenset(p for p in parts[1].split(",") if p)
+    for particle in sorted(particles - PARTICLES):
+        raise ValueError(f"unknown particle {particle!r} in weight row {pattern!r}")
     match_punct = len(parts) == 3 and parts[2] == "punct"
     if len(parts) == 3 and parts[2] != "punct":
         raise ValueError(f"bad weight row suffix {parts[2]!r} (only 'punct' allowed)")
@@ -158,5 +160,8 @@ def load_weight_rows(path: Path | str) -> tuple[WeightRow, ...]:
             weight = int(parts[2])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: weight must be an integer") from None
-        rows.append(parse_weight_row(parts[0], parts[1], weight))
+        try:
+            rows.append(parse_weight_row(parts[0], parts[1], weight))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return tuple(rows)

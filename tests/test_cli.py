@@ -157,3 +157,59 @@ def test_unreachable_example_match_level_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(config) in err and "example_match_min_level=9" in err
     assert not out.exists()
+
+
+def test_verbal_noun_mapped_to_a_missing_verb_is_a_data_error(tmp_path, capsys):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    frames = lex / "caseframes.txt"
+    lineno = len(frames.read_text(encoding="utf-8").splitlines()) + 1
+    with frames.open("a", encoding="utf-8") as f:
+        f.write("vn foo -> nosuchverb\n")
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", CORPUS, "--lexicons", str(lex),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"caseframes.txt: line {lineno}:" in err
+    assert "'foo'" in err and "'nosuchverb'" in err
+    assert not out.exists()
+
+
+def test_weight_row_with_an_unknown_particle_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("semantics=on\nweight.topic.noun:zz=5\n", encoding="utf-8")
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", CORPUS, "--lexicons", LEX,
+                 "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: line 2:" in err and "'zz'" in err
+    assert not out.exists()
+
+
+def _demo_predictions(tmp_path):
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", CORPUS, "--lexicons", LEX,
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_eval_rejects_a_repeated_unit(tmp_path, capsys):
+    out = _demo_predictions(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    first = lines.index("rate\t8\t-\t7\t25") + 1
+    out.write_text("\n".join(lines + ["rate\t8\t-\t7\t25"]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"lines {first} and {len(lines) + 1}" in captured.err
+    assert "rate:8" in captured.err and captured.out == ""
+
+
+def test_eval_rejects_a_winner_the_document_lacks(tmp_path, capsys):
+    out = _demo_predictions(tmp_path)
+    text = out.read_text(encoding="utf-8").replace("rate\t8\t-\t7\t25", "rate\t8\t-\t999\t25")
+    out.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "rate:8" in captured.err and "999" in captured.err and captured.out == ""

@@ -107,3 +107,18 @@ def test_load_config_rejects_unreachable_example_level(tmp_path):
     assert str(path) in str(excinfo.value)
     path.write_text("example_match_min_level=6\nsim.6=12\n", encoding="utf-8")
     assert load_config(path).example_match_min_level == 6
+
+
+def test_unknown_weight_row_particle_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("weight.focus.noun:no=12\nweight.topic.noun:zz=5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 2: unknown particle 'zz'") as excinfo:
+        load_config(path)
+    assert str(path) in str(excinfo.value)
+    target = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, target)
+    weights = target / "weights.tsv"
+    weights.write_text("% extra rows\nfocus\tnoun:zz\t12\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: unknown particle 'zz'") as excinfo:
+        load_lexicons(target)
+    assert str(weights) in str(excinfo.value)

@@ -127,3 +127,17 @@ def test_prediction_serialization_round_trip(corpora, lexicons):
 def test_prediction_parser_rejects_short_lines():
     with pytest.raises(ValueError, match="5 fields"):
         parse_predictions("rate\t8\t-\t7\n")
+
+
+def test_prediction_parser_rejects_a_repeated_unit():
+    text = "% header\nrate\t8\t-\t7\t25\nrate\t8\t-\tNONE\t10\n"
+    with pytest.raises(ValueError, match="lines 2 and 3.*rate:8"):
+        parse_predictions(text)
+    # the same anaphor in another slot or document is another unit
+    assert len(parse_predictions(
+        "analysis\t9\tga\t3\t21\nanalysis\t9\two\t5\t18\nrate2\t8\t-\t7\t25\n")) == 3
+
+
+def test_winner_missing_from_the_document_is_an_error(corpora):
+    with pytest.raises(ValueError, match="rate:8 names antecedent 999"):
+        evaluate([Prediction("rate", 8, None, 999, 25)], corpora)

@@ -7,6 +7,7 @@ import pytest
 
 from bridgeref.config import ResolverConfig
 from bridgeref.lexicons import NounAttributes, Thesaurus
+from bridgeref.resolver import detect_targets, resolve_discourse
 
 
 _MAPPINGS = {
@@ -63,3 +64,48 @@ def test_read_only_objects_pickle_and_copy(corpora, lexicons, config):
     modifiers = lexicons.xnoy.modifiers_of("yane")
     clone = pickle.loads(pickle.dumps(lexicons))
     assert modifiers and clone.xnoy.modifiers_of("yane") == modifiers
+
+
+def _slotted_objects(corpora, lexicons, config):
+    """One or more instances of every slotted class, from the demo corpus."""
+    objects = {}
+    for d in corpora.values():
+        objects.setdefault("Sentence", []).extend(d.sentences)
+        objects.setdefault("Phrase", []).extend(d.phrases())
+        objects.setdefault("Target", []).extend(detect_targets(d, lexicons))
+        for result in resolve_discourse(d, lexicons, config):
+            objects.setdefault("ResolutionResult", []).append(result)
+            for proposal in result.proposals:
+                objects.setdefault("Proposal", []).append(proposal)
+                if proposal.breakdown is not None:
+                    objects.setdefault("ScoreBreakdown", []).append(proposal.breakdown)
+    return objects
+
+
+def test_slotted_objects_refuse_new_attributes_and_field_assignment(
+        corpora, lexicons, config):
+    objects = _slotted_objects(corpora, lexicons, config)
+    assert sorted(objects) == [
+        "Phrase", "Proposal", "ResolutionResult", "ScoreBreakdown", "Sentence", "Target"]
+    for name, instances in objects.items():
+        for obj in instances:
+            assert not hasattr(obj, "__dict__"), name
+            first = dataclasses.fields(obj)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, first, getattr(obj, first))
+            # Not even the route frozen dataclasses use in __init__ adds one.
+            with pytest.raises(AttributeError):
+                object.__setattr__(obj, "note", "extra")
+
+
+def test_slotted_objects_pickle_copy_and_replace(corpora, lexicons, config):
+    for name, instances in _slotted_objects(corpora, lexicons, config).items():
+        for obj in instances:
+            for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj),
+                          copy.copy(obj), dataclasses.replace(obj)):
+                assert type(clone) is type(obj), name
+                assert clone == obj and repr(clone) == repr(obj), name
+            first = dataclasses.fields(obj)[0].name
+            changed = dataclasses.replace(obj, **{first: None})
+            assert getattr(changed, first) is None and changed != obj, name
+            assert getattr(obj, first) is not None, name

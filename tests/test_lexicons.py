@@ -205,3 +205,14 @@ def test_load_lexicons_reports_missing_files(tmp_path):
     from bridgeref.lexicons import load_lexicons
     with pytest.raises(LexiconFormatError, match="missing lexicon file"):
         load_lexicons(tmp_path)
+
+
+def test_case_frame_loader_rejects_verbal_noun_without_its_verb(tmp_path):
+    path = tmp_path / "caseframes.txt"
+    path.write_text("vn yomi -> yomu\nverb kaku\nslot case=ga constraints=1 examples=-\n"
+                    "vn kaki -> kaku\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match="line 1: verbal noun 'yomi' .*'yomu'"):
+        load_case_frames(path)
+    path.write_text("vn kaki -> kaku\nverb kaku\nslot case=ga constraints=1 examples=-\n",
+                    encoding="utf-8")
+    assert load_case_frames(path).verbal_nouns == {"kaki": "kaku"}

@@ -44,3 +44,40 @@ def test_one_pass_matches_resolve_oracle_and_salience_distance():
         targets += len(swept)
     assert min(lengths) >= 60 and max(lengths) <= 150
     assert targets >= 2000 and distances >= 20000
+
+
+def _documented_winner(all_scores):
+    """(winner, total) by the documented rule, written apart from the resolver.
+
+    Score first, then a real phrase over a pseudo candidate, then recency:
+    the latest phrase, or among pseudo candidates the first one listed.
+    """
+    if not all_scores:
+        return None, 0
+    items = list(all_scores.items())
+
+    def rank(position):
+        candidate, points = items[position]
+        real = isinstance(candidate, int)
+        return points, real, candidate if real else -position
+
+    return items[max(range(len(items)), key=rank)]
+
+
+def test_winner_total_and_direct_follow_the_documented_rule():
+    default = ResolverConfig.default()
+    ties = mixed_ties = pseudo = direct = 0
+    for seed in range(200):
+        d, lex = random_long_case(seed)
+        config = default if seed % 4 else default.without_semantics()
+        for result in resolve_discourse(d, lex, config):
+            assert (result.winner, result.total) == _documented_winner(result.all_scores)
+            repeated = {p.candidate for p in result.proposals if p.rule == "R1"}
+            assert result.direct is (isinstance(result.winner, int)
+                                     and result.winner in repeated)
+            top = [c for c, s in result.all_scores.items() if s == result.total]
+            ties += len(top) > 1
+            mixed_ties += len(top) > 1 and any(isinstance(c, str) for c in top)
+            pseudo += isinstance(result.winner, str)
+            direct += result.direct
+    assert ties >= 500 and mixed_ties >= 20 and pseudo >= 500 and direct >= 500

@@ -141,3 +141,8 @@ def test_load_weight_rows(tmp_path):
     rows = load_weight_rows(path)
     assert len(rows) == 1
     assert rows[0].weight == 12
+
+
+def test_parse_weight_row_rejects_unknown_particles():
+    with pytest.raises(ValueError, match="unknown particle 'zz'"):
+        parse_weight_row("topic", "noun:wa,zz", 5)
