@@ -31,9 +31,10 @@ Documents are immutable once parsed; any number of readers may share them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from ._frozen import reduce_by_fields
 
@@ -166,7 +167,14 @@ def _parse_gold(value: str, lineno: int) -> tuple[GoldAntecedent, ...]:
     return tuple(gold)
 
 
-def _parse_record(line: str, lineno: int) -> Phrase:
+def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str, ...]],
+                  sound: set[tuple]) -> Phrase:
+    """One phrase record.
+
+    ``split_list`` is ``_split_list`` memoised by raw string, and ``sound``
+    holds the shapes of own fields that passed ``_field_faults``; both last
+    one ``parse_corpus`` call.
+    """
     fields = line.split("\t")
     if len(fields) != 11:
         raise CorpusFormatError(
@@ -205,16 +213,20 @@ def _parse_record(line: str, lineno: int) -> Phrase:
         lemma=lemma,
         pos=pos,
         noun_subtype=None if subtype == "-" else subtype,
-        particles=_split_list(particles),
+        particles=split_list(particles),
         punct_after=punct_after,
         head_id=head_id,
         clause_role="other" if clause_role == "-" else clause_role,
-        sem_codes=_split_list(sem_codes),
+        sem_codes=split_list(sem_codes),
         ref_property="auto" if refprop == "-" else refprop,
         gold_antecedents=_parse_gold(gold, lineno),
     )
-    for name, message in _field_faults(phrase):
-        raise CorpusFormatError(f"line {lineno}: field '{name}': {message}")
+    # Everything _field_faults reads; a shape that faulted is never added.
+    shape = pos, subtype, particles, clause_role, refprop, not surface
+    if shape not in sound:
+        for name, message in _field_faults(phrase):
+            raise CorpusFormatError(f"line {lineno}: field '{name}': {message}")
+        sound.add(shape)
     return phrase
 
 
@@ -246,6 +258,8 @@ def parse_corpus(text: str) -> list[Discourse]:
     sentences: list[Sentence] = []
     current: Optional[list[Phrase]] = None
     current_index = -1
+    split_list = functools.cache(_split_list)
+    sound: set[tuple] = set()
 
     def close_sentence():
         nonlocal current
@@ -264,8 +278,11 @@ def parse_corpus(text: str) -> list[Discourse]:
             documents.append(document)
             sentences = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        # A line opening with a digit inside a sentence can only be a record.
+        if current is not None and line[:1].isdigit():
+            current.append(_parse_record(line, lineno, split_list, sound))
+            continue
         if not line.strip() or line.startswith("%"):
             continue
         if line.startswith("#DOC"):
@@ -296,7 +313,7 @@ def parse_corpus(text: str) -> list[Discourse]:
         if doc_id is None or current is None:
             raise CorpusFormatError(
                 f"line {lineno}: phrase record outside of a #DOC/#SENT block")
-        current.append(_parse_record(line, lineno))
+        current.append(_parse_record(line, lineno, split_list, sound))
 
     close_document()
     return documents
@@ -371,18 +388,18 @@ def _structure_violations(d: Discourse) -> list[str]:
                 f"sentence {sent.index}: indices must be contiguous from 0 "
                 f"(expected {expected})")
 
-    previous_id: Optional[int] = None
-    all_ids = {p.id for p in d.phrases()}
-    if len(all_ids) != sum(len(s.phrases) for s in d.sentences):
+    ids = [p.id for sent in d.sentences for p in sent.phrases]
+    all_ids = set(ids)
+    if len(all_ids) != len(ids):
         violations.append("phrase ids are not unique")
-    for p in d.phrases():
-        if previous_id is not None and p.id <= previous_id:
+    for previous_id, phrase_id in zip(ids, ids[1:]):
+        if phrase_id <= previous_id:
             violations.append(
-                f"phrase {p.id}: ids must strictly increase in document order")
-        previous_id = p.id
+                f"phrase {phrase_id}: ids must strictly increase in document order")
 
     for sent in d.sentences:
         heads = {p.id: p.head_id for p in sent.phrases}
+        ended: set[int] = set()     # ids whose chain through heads ends
         roots = [p for p in sent.phrases if p.head_id is None]
         if sent.phrases and len(roots) > 1:
             violations.append(
@@ -393,14 +410,20 @@ def _structure_violations(d: Discourse) -> list[str]:
                     f"phrase {p.id}: dangling head {p.head_id} "
                     f"(heads must stay within sentence {sent.index})")
             # A chain longer than the sentence has entered a cycle; one that
-            # leaves the sentence is the dangling head reported above.
-            head, steps = p.head_id, 0
-            while head in heads and steps <= len(heads):
-                head, steps = heads[head], steps + 1
-            if head in heads:
-                violations.append(
-                    f"phrase {p.id}: head chain never reaches the root of "
-                    f"sentence {sent.index}")
+            # leaves the sentence is the dangling head reported above.  The
+            # walk stops at a phrase whose chain is known to end, and marks
+            # the phrases it passed when its own chain ends.
+            head, walked = p.head_id, []
+            while head in heads and head not in ended:
+                if len(walked) > len(heads):
+                    violations.append(
+                        f"phrase {p.id}: head chain never reaches the root of "
+                        f"sentence {sent.index}")
+                    break
+                walked.append(head)
+                head = heads[head]
+            else:
+                ended.update(walked)
             for gold in p.gold_antecedents:
                 if gold.antecedent_id is None:
                     continue

@@ -5,7 +5,9 @@ got right; precision is the fraction of targets the system judged to have
 an antecedent that were right.  Verbal nouns are counted once per case
 slot, and a pseudo-candidate winner counts as a negative system judgement.
 A predictions file may leave units out, but lists each one at most once,
-and every winner it names must be a phrase of the document.
+scores an anaphor either as one whole-phrase unit or per case slot, and
+every winner it names must be a phrase of the document that precedes the
+anaphor.
 """
 from __future__ import annotations
 
@@ -51,9 +53,15 @@ def serialize_predictions(predictions: Iterable[Prediction]) -> str:
 
 
 def parse_predictions(text: str) -> list[Prediction]:
-    """Read a predictions file; each (doc, anaphor, slot) unit may occur once."""
+    """Read a predictions file; each (doc, anaphor, slot) unit may occur once.
+
+    An anaphor is listed either as one whole-phrase unit (slot ``-``) or by
+    case slot, never both.
+    """
     predictions = []
     first_line: dict[tuple, int] = {}      # unit -> line that listed it
+    # (doc, anaphor) -> whether its first line gave a slot, and that line
+    first_kind: dict[tuple, tuple[bool, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -78,6 +86,11 @@ def parse_predictions(text: str) -> list[Prediction]:
                 f"predictions lines {first_line[unit]} and {lineno}: both score "
                 f"{doc_id}:{anaphor} slot {slot}")
         first_line[unit] = lineno
+        by_slot, first = first_kind.setdefault(unit[:2], (slot != "-", lineno))
+        if by_slot != (slot != "-"):
+            raise ValueError(
+                f"predictions lines {first} and {lineno}: both score "
+                f"{doc_id}:{anaphor}, one as a whole phrase and one by case slot")
     return predictions
 
 
@@ -182,6 +195,10 @@ def evaluate(
             raise ValueError(
                 f"prediction for {prediction.doc_id}:{prediction.anaphor_id} names "
                 f"antecedent {prediction.winner}, which the document lacks")
+        if prediction.winner is not None and prediction.winner >= prediction.anaphor_id:
+            raise ValueError(
+                f"prediction for {prediction.doc_id}:{prediction.anaphor_id} names "
+                f"antecedent {prediction.winner}, which does not precede the anaphor")
         gold_ids = _gold_ids(discourse, prediction)
         gold = bool(gold_ids)
         system = prediction.winner is not None

@@ -23,9 +23,14 @@ Zero pronouns hold salience slots (they lengthen distances) but are never
 proposed as antecedents, and phrases scored through the subject path do not
 get a second topic/focus proposal.
 
-``resolve_discourse`` reads a document once: each phrase is classified once
-and scored from a record of the text before it, and each similarity is
-computed once per document.  ``resolve`` builds that record for one anaphor.
+``resolve_discourse`` reads a document once, scoring each phrase from a
+record of the text before it; ``resolve`` builds that record for one
+anaphor.  What depends only on the lexicons and the config (target modes,
+salience classes, "X no Y" modifier sets and similarity scores) is cached
+for as long as the same ``LexiconSet`` and ``ResolverConfig`` objects are
+passed, so a run over many documents computes each of them once.  Both
+objects are immutable, which makes the cache sound; it is keyed by lemmas,
+particles and case slots and never holds a phrase or a document.
 """
 from __future__ import annotations
 
@@ -99,6 +104,10 @@ class ResolutionResult:
     direct: bool                       # winner carried a repeated-mention proposal
 
 
+# Shared by every call that passes no config, so those calls share caches too.
+_DEFAULT_CONFIG = ResolverConfig.default()
+
+
 def referential_property(
     p: Phrase,
     d: Discourse,
@@ -110,8 +119,8 @@ def referential_property(
     demonstrative modifier or an earlier mention of the same lemma suggests
     definite, anything else indefinite.
     """
-    config = config or ResolverConfig.default()
-    return _Sweep.before(p, d, config).referential_property(p)
+    config = config or _DEFAULT_CONFIG
+    return _Sweep.before(p, d, config, _RunCaches(())).referential_property(p)
 
 
 def _classify_target(phrase: Phrase, lex: LexiconSet
@@ -167,14 +176,51 @@ def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
     ]
 
 
-def _salience_rows(lex: LexiconSet, config: ResolverConfig):
-    return default_rows() + tuple(lex.weight_rows) + config.extra_weight_rows
+class _RunCaches:
+    """What the resolver derives from one lexicon set and one config alone."""
+
+    __slots__ = ("rows", "targets", "salience", "scores", "modifiers")
+
+    def __init__(self, rows: tuple) -> None:
+        self.rows = rows                                # salience weight rows
+        # (pos, noun_subtype, lemma) -> _classify_target's mode, frame, slots
+        self.targets: dict[tuple, tuple] = {}
+        # (pos, noun_subtype, particles, punct_after) -> (kind, weight) or None
+        self.salience: dict[tuple, Optional[tuple[str, int]]] = {}
+        # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
+        self.scores: dict[object, dict[tuple, Optional[int]]] = {}
+        # anaphor lemma -> its "X no Y" modifier set (R4)
+        self.modifiers: dict[str, frozenset[str]] = {}
+
+    def target(self, phrase: Phrase, lex: LexiconSet
+               ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
+        key = phrase.pos, phrase.noun_subtype, phrase.lemma
+        found = self.targets.get(key)
+        if found is None:
+            found = self.targets[key] = _classify_target(phrase, lex)
+        return found
+
+
+# (lex, config, caches) of the last pair passed.  The strong references keep
+# the two objects, and so their ids, alive while the caches are held.
+_run: tuple = (None, None, None)
+
+
+def _run_caches(lex: LexiconSet, config: ResolverConfig) -> _RunCaches:
+    """The caches of this lexicon set and config, new unless both were the last pair."""
+    global _run
+    held_lex, held_config, caches = _run
+    if held_lex is not lex or held_config is not config:
+        caches = _RunCaches(
+            default_rows() + tuple(lex.weight_rows) + config.extra_weight_rows)
+        _run = (lex, config, caches)
+    return caches
 
 
 def propose_prior_mentions(anaphor: Phrase, d: Discourse,
                            config: ResolverConfig) -> list[Proposal]:
     """R1: a definite phrase repeating an earlier lemma is direct anaphora."""
-    return _Sweep.before(anaphor, d, config).mentions(
+    return _Sweep.before(anaphor, d, config, _RunCaches(())).mentions(
         anaphor.lemma, config.identity_points, "R1")
 
 
@@ -208,36 +254,45 @@ def _governing_slot(anaphor: Phrase, d: Discourse, lex: LexiconSet) -> Optional[
     return frame.slot(case) if case is not None else None
 
 
+_UNSEEN = object()
+
+
 class _Sweep:
     """What one document holds before the phrase being resolved.
 
-    Phrases are added in document order.  Scores are cached for the whole
-    document, which is sound because lexicons and configs are immutable.
+    Phrases are added in document order.  Salience classes and scores come
+    from run caches, which last while the same lexicon set and config are
+    passed.  The sweep takes their dicts once, when it is built, so a
+    sweep never mixes the caches of two configs.
     """
 
-    def __init__(self, d: Discourse, config: ResolverConfig, rows=()):
-        self.d, self.config, self.rows = d, config, rows
+    def __init__(self, d: Discourse, config: ResolverConfig, caches: _RunCaches):
+        self.d, self.config, self.rows = d, config, caches.rows
+        self.classes = caches.salience
+        self.scores = caches.scores
+        self.modifiers = caches.modifiers
         # (phrase, kind, weight, index among entries of its kind) of every
         # salience entry but zero pronouns, which only count towards distance.
         self.entries: list[tuple[Phrase, str, int, int]] = []
         self.counts: dict[str, int] = {}                # entries so far, per kind
         self.lemmas: set[str] = set()                   # non-empty lemmas so far
         self.nouns: dict[str, list[Phrase]] = {}        # lemma -> noun phrases
-        # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
-        self.scores: dict[object, dict[tuple, Optional[int]]] = {}
-        # the same source -> score of each entry, in the order of self.entries
+        # score source (see self.scores) -> score of each entry, in entry order
         self.sims: dict[object, list[Optional[int]]] = {}
 
     @classmethod
     def before(cls, anaphor: Phrase, d: Discourse, config: ResolverConfig,
-               rows=()) -> "_Sweep":
-        sweep = cls(d, config, rows)
+               caches: _RunCaches) -> "_Sweep":
+        sweep = cls(d, config, caches)
         for phrase in d.preceding(anaphor.id):
             sweep.add(phrase)
         return sweep
 
     def add(self, phrase: Phrase) -> None:
-        classified = classify_salience(phrase, self.rows)
+        shape = phrase.pos, phrase.noun_subtype, phrase.particles, phrase.punct_after
+        classified = self.classes.get(shape, _UNSEEN)
+        if classified is _UNSEEN:
+            classified = self.classes[shape] = classify_salience(phrase, self.rows)
         if classified is not None:
             kind, weight = classified
             index = self.counts.get(kind, 0)
@@ -273,7 +328,10 @@ class _Sweep:
 
         case_slot = None
         if mode == NOMINAL:
-            modifiers = xnoy_modifier_set(anaphor.lemma, lex.xnoy, lex.attrs)
+            modifiers = self.modifiers.get(anaphor.lemma)
+            if modifiers is None:
+                modifiers = self.modifiers[anaphor.lemma] = frozenset(
+                    xnoy_modifier_set(anaphor.lemma, lex.xnoy, lex.attrs))
 
             def similarity(candidate: Phrase) -> int:
                 if not config.semantics:
@@ -322,9 +380,9 @@ class _Sweep:
         """Subject-path proposals plus topic/focus proposals of R4/R5.
 
         ``compute`` returns a candidate's similarity score, or None when the
-        candidate must be excluded; it runs once per source and candidate
-        lemma and codes.  Each entry is scored once per source, when the
-        first target after it asks for that source.
+        candidate must be excluded; it runs once per run cache, source, and
+        candidate lemma and codes.  Each entry is scored once per source,
+        when the first target after it asks for that source.
         """
         cache = self.scores.setdefault(source, {})
 
@@ -368,8 +426,9 @@ def resolve(
     Ties go to the most recent real candidate; pseudo candidates lose every
     tie against a real phrase.
     """
-    config = config or ResolverConfig.default()
-    mode, frame, slots = _classify_target(anaphor, lex)
+    config = config or _DEFAULT_CONFIG
+    caches = _run_caches(lex, config)
+    mode, frame, slots = caches.target(anaphor, lex)
     if mode == SKIP:
         raise ValueError(f"phrase {anaphor.id} is not an anaphora target")
     if slot not in slots:
@@ -379,7 +438,7 @@ def resolve(
         raise ValueError(f"{mode} target does not take a case slot")
     if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
         raise ValueError(f"anaphor {anaphor.id} is not part of document {d.doc_id!r}")
-    sweep = _Sweep.before(anaphor, d, config, _salience_rows(lex, config))
+    sweep = _Sweep.before(anaphor, d, config, caches)
     return sweep.resolve(anaphor, mode, frame, slot, lex)
 
 
@@ -389,11 +448,13 @@ def resolve_discourse(
     config: Optional[ResolverConfig] = None,
 ) -> list[ResolutionResult]:
     """Resolve every non-skipped target of a document, in document order."""
-    config = config or ResolverConfig.default()
-    sweep = _Sweep(d, config, _salience_rows(lex, config))
+    config = config or _DEFAULT_CONFIG
+    caches = _run_caches(lex, config)
+    sweep = _Sweep(d, config, caches)
+    target = caches.target
     results = []
     for phrase in d.phrases():
-        mode, frame, slots = _classify_target(phrase, lex)
+        mode, frame, slots = target(phrase, lex)
         if mode != SKIP:
             results.extend(sweep.resolve(phrase, mode, frame, slot, lex) for slot in slots)
         sweep.add(phrase)

@@ -236,6 +236,27 @@ def _oracle_classify(p: Phrase):
     return None
 
 
+def _oracle_extra_classify(p: Phrase, rows):
+    """The first extra weight row (lexicon rows, then config rows) matching p.
+
+    Extra rows are only consulted for phrases the default rows leave
+    unclassified, and focus rows never take a wa-marked phrase.
+    """
+    if p.pos != "noun":
+        return None
+    parts = set(p.particles)
+    word_class = "pronoun" if p.noun_subtype in ("pronoun", "zero_pronoun") else "noun"
+    for row in rows:
+        if row.kind == "focus" and "wa" in parts:
+            continue
+        if row.word_class != word_class:
+            continue
+        if parts & row.particles or (
+                row.match_punct and not parts and p.punct_after in ("comma", "period")):
+            return (row.kind, row.weight)
+    return None
+
+
 def _oracle_level(a: str, b: str, thesaurus: Thesaurus) -> int:
     best = 0
     for code_a in thesaurus.codes.get(a, ()):
@@ -370,10 +391,11 @@ def oracle_all_scores(anaphor: Phrase, slot, d: Discourse, lex: LexiconSet,
                 if sim is not None:
                     add(p.id, config.subject_base + p_score + sim)
         entries = []
+        extra_rows = tuple(lex.weight_rows) + tuple(config.extra_weight_rows)
         for p in d.phrases():
             if p.id >= anaphor.id:
                 break
-            kind_weight = _oracle_classify(p)
+            kind_weight = _oracle_classify(p) or _oracle_extra_classify(p, extra_rows)
             if kind_weight is not None:
                 entries.append((p, kind_weight[0], kind_weight[1]))
         for i, (p, kind, weight) in enumerate(entries):

@@ -1,3 +1,4 @@
+import random
 import shutil
 
 import pytest
@@ -213,3 +214,128 @@ def test_eval_rejects_a_winner_the_document_lacks(tmp_path, capsys):
     assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
     captured = capsys.readouterr()
     assert "rate:8" in captured.err and "999" in captured.err and captured.out == ""
+
+
+def test_eval_rejects_a_winner_after_its_anaphor(tmp_path, capsys):
+    out = _demo_predictions(tmp_path)
+    text = out.read_text(encoding="utf-8").replace("rate\t8\t-\t7\t25", "rate\t8\t-\t9\t25")
+    out.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "rate:8" in captured.err and "antecedent 9" in captured.err
+    assert "does not precede" in captured.err and captured.out == ""
+
+
+def test_eval_rejects_an_anaphor_scored_whole_and_by_slot(tmp_path, capsys):
+    out = _demo_predictions(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    whole = lines.index("rate\t8\t-\t7\t25") + 1
+    out.write_text("\n".join(lines + ["rate\t8\tga\t7\t25"]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"lines {whole} and {len(lines) + 1}" in captured.err
+    assert "rate:8" in captured.err and captured.out == ""
+
+
+_LEXICON_MUTANTS = (
+    "", "-", "x", "0", "1", "12", "1712345", "abc", "1a", "%", "->", "verb", "slot",
+    "vn", "case=ga", "case=zz", "case=", "constraints=", "constraints=-",
+    "constraints=1234567", "constraints=1,,2", "examples=", "examples=-",
+    "examples=ie", "relational", "non_anaphoric", "adjectival,zz", ",", "ie\tyane",
+)
+
+
+def _mutate_line(rng, line, mutants):
+    """One seeded edit of one line: a token replaced, cut or dropped, or a separator swapped."""
+    sep = next((s for s in ("\t", " ", "=") if s in line), "\t")
+    tokens = line.split(sep)
+    j = rng.randrange(len(tokens))
+    roll = rng.random()
+    if roll < 0.6:
+        tokens[j] = rng.choice(mutants)
+    elif roll < 0.8:
+        tokens[j] = tokens[j][:rng.randrange(len(tokens[j]) + 1)]
+    elif roll < 0.9:
+        del tokens[j]
+    else:
+        return rng.choice([s for s in ("\t", " ", "=") if s != sep]).join(tokens)
+    return sep.join(tokens)
+
+
+def _mutated_text(rng, text, mutants):
+    """``text`` with one line edited, deleted or doubled."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    roll = rng.random()
+    if roll < 0.8:
+        changed = [_mutate_line(rng, lines[i], mutants)]
+    elif roll < 0.9:
+        changed = []
+    else:
+        changed = [lines[i], lines[i]]
+    return "\n".join(lines[:i] + changed + lines[i + 1:]) + "\n"
+
+
+def test_mutated_lexicon_lines_exit_0_1_or_2(tmp_path, capsys):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    names = sorted(p.name for p in LEXICON_DIR.iterdir())
+    commands = [
+        ["resolve", "--corpus", CORPUS, "--lexicons", str(lex)],
+        ["explain", "--corpus", CORPUS, "--lexicons", str(lex), "--anaphor", "rate:8"],
+        ["explain", "--corpus", CORPUS, "--lexicons", str(lex), "--anaphor", "analysis:9"],
+        ["build-dict", "--xnoy", str(lex / "xnoy.tsv"), "--thesaurus",
+         str(lex / "thesaurus.tsv"), "--attrs", str(lex / "nounattrs.tsv")],
+    ]
+    rng = random.Random(7)
+    codes = []
+    for n in range(500):
+        name = names[n % len(names)]
+        original = (LEXICON_DIR / name).read_text(encoding="utf-8")
+        (lex / name).write_text(_mutated_text(rng, original, _LEXICON_MUTANTS),
+                                encoding="utf-8")
+        codes.append(main(commands[n // len(names) % len(commands)]))
+        capsys.readouterr()
+        (lex / name).write_text(original, encoding="utf-8")
+    assert {0, 1} <= set(codes) <= {0, 1, 2}, sorted(set(codes))
+
+
+_CONFIG = """\
+definite=0
+indefinite=-5
+generic=-5
+sim.0=-30
+sim.1=-20
+sim.2=-10
+sim.3=0
+sim.4=7
+sim.5=10
+subject_base=23
+identity_points=30
+relational_points=30
+pseudo_points=10
+example_match_min_level=4
+semantics=on
+weight.focus.noun:no=12
+"""
+_CONFIG_MUTANTS = (
+    "", "=", "-1", "0", "5", "99", "100000", "x", "1.5", "on", "off", "true",
+    "sim.6", "sim.-1", "sim.x", "sim.", "definite", "generic", "bogus", "semantics",
+    "example_match_min_level", "weight.topic.noun:ga", "weight.focus.pronoun:zz",
+    "weight.topic", "weight.x.noun:no", "weight.focus.noun:", "weight.focus.noun:no:punct",
+    "weight.focus.noun::punct", "weight.focus.verb:no", "#", "%",
+)
+
+
+def test_mutated_config_lines_exit_0_or_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    rng = random.Random(11)
+    codes = []
+    for _ in range(500):
+        config.write_text(_mutated_text(rng, _CONFIG, _CONFIG_MUTANTS), encoding="utf-8")
+        codes.append(main(["resolve", "--corpus", CORPUS, "--lexicons", LEX,
+                           "--config", str(config)]))
+        capsys.readouterr()
+    assert set(codes) == {0, 2}, sorted(set(codes))

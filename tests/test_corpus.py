@@ -11,6 +11,7 @@ from bridgeref.corpus import (
     Sentence,
     parse_corpus,
     parse_discourse,
+    serialize_corpus,
     serialize_discourse,
     validate_discourse,
 )
@@ -300,3 +301,53 @@ def test_field_rule_reads_the_same_when_parsing_and_validating(field, record, fi
         make_phrase(1, lemma="neko", particles=("ga",), head=2), **fields)
     doc = _doc([phrase, make_phrase(2, lemma="neru", pos="verb")])
     assert validate_discourse(doc) == [f"phrase 1: {message}"]
+
+
+_VERB_RECORD = "2\tneta.\tneru\tverb\t-\t-\t-\t-\t-\t-\t-"
+# One document per copy: a plain noun and a zero pronoun, each the good twin
+# of the bad records below but for the one field they break.
+_GOOD_DOCUMENT = "\n".join([
+    "#DOC good", "#SENT 0", "\t".join(_GOOD_RECORD), _VERB_RECORD, "#SENT 1",
+    "3\t*\t-\tnoun\tzero_pronoun\tga\t4\t-\t-\t-\t-", "4" + _VERB_RECORD[1:],
+]) + "\n"
+_BAD_RECORDS = [
+    ("subtype", {"subtype": "animal"}),
+    ("subtype", {"subtype": "-"}),
+    ("particles", {"particles": "ga,zzz"}),
+    ("surface", {**_ZERO, "surface": "kare"}),
+    ("particles", {**_ZERO, "particles": "he"}),
+    ("particles", {**_ZERO, "particles": "-"}),
+    ("clause_role", {"clause_role": "subject"}),
+    ("refprop", {"refprop": "specific"}),
+]
+
+
+def _bad_document(record):
+    columns = list(_GOOD_RECORD)
+    for name, value in record.items():
+        columns[_COLUMNS[name]] = value
+    return "#DOC bad\n#SENT 0\n" + "\t".join(columns) + "\n" + _VERB_RECORD + "\n"
+
+
+def _format_error(text):
+    with pytest.raises(CorpusFormatError) as raised:
+        parse_corpus(text)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("field,record", _BAD_RECORDS)
+def test_bad_record_after_good_lines_reads_as_when_alone(field, record):
+    good = _GOOD_DOCUMENT * 250                   # 1,000 good records
+    offset = good.count("\n")
+    alone = _format_error(_bad_document(record))
+    prefix = f"line 3: field '{field}': "
+    assert alone.startswith(prefix)
+    message = alone[len(prefix):]
+    late = f"line {offset + 3}: field '{field}': {message}"
+    assert _format_error(good + _bad_document(record)) == late
+    assert _format_error(good + _bad_document(record) * 2) == late
+
+
+def test_serialize_parse_round_trip_on_many_copies_of_the_demo(corpora):
+    documents = list(corpora.values()) * 500
+    assert parse_corpus(serialize_corpus(documents)) == documents

@@ -2,13 +2,21 @@
 
 ``resolve_discourse`` records the text before each target as it goes;
 these checks hold it to a fresh ``resolve`` per target, to the independent
-oracle in ``randgen`` and to the public salience list.
+oracle in ``randgen`` and to the public salience list.  The run cache, which
+lasts while the same lexicon set and config are passed, is checked against
+interleaved pairs, threads and the lifetime of the documents it has seen.
 """
+import dataclasses
+import gc
+import sys
+import threading
+import weakref
+
 from bridgeref.config import ResolverConfig
 from bridgeref.corpus import validate_discourse
 from bridgeref.resolver import SKIP, detect_targets, resolve, resolve_discourse
-from bridgeref.salience import distance, salience_list
-from randgen import oracle_all_scores, random_long_case
+from bridgeref.salience import distance, parse_weight_row, salience_list
+from randgen import oracle_all_scores, random_case, random_long_case
 
 
 def _fields(result):
@@ -81,3 +89,79 @@ def test_winner_total_and_direct_follow_the_documented_rule():
             pseudo += isinstance(result.winner, str)
             direct += result.direct
     assert ties >= 500 and mixed_ties >= 20 and pseudo >= 500 and direct >= 500
+
+
+def test_interleaved_lexicons_and_configs_keep_their_own_caches():
+    default = ResolverConfig.default()
+    weighted = dataclasses.replace(default, extra_weight_rows=(
+        parse_weight_row("focus", "noun:no", 12),
+        parse_weight_row("topic", "pronoun:no,de,he", 19)))
+    configs = [default, default.without_semantics(), weighted]
+    lexicons = [random_long_case(seed)[1] for seed in (1, 2)]
+    pairs = [(lex, config) for config in configs for lex in lexicons]
+    documents = [random_case(seed)[0] for seed in range(300)]
+
+    interleaved = {}
+    for n, d in enumerate(documents):
+        for step in range(len(pairs)):
+            k = (n + step) % len(pairs)       # each document starts at another pair
+            interleaved[k, n] = resolve_discourse(d, *pairs[k])
+
+    targets = 0
+    for k, (lex, config) in enumerate(pairs):
+        # Equal but new objects, so this pass starts from empty caches.
+        alone_pair = dataclasses.replace(lex), dataclasses.replace(config)
+        for n, d in enumerate(documents):
+            results = interleaved[k, n]
+            assert [_fields(r) for r in results] == [
+                _fields(r) for r in resolve_discourse(d, *alone_pair)]
+            for result in results:
+                anaphor = d.phrase(result.anaphor_id)
+                assert result.all_scores == oracle_all_scores(
+                    anaphor, result.slot, d, lex, config)
+                assert (result.winner, result.total) == _documented_winner(result.all_scores)
+            targets += len(results)
+    assert targets >= 3000
+
+
+def test_run_cache_keeps_no_document_alive():
+    d, lex = random_long_case(3)
+    results = resolve_discourse(d, lex, ResolverConfig.default())
+    assert results
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_swapping_the_run_cache_never_mix_configs():
+    default = ResolverConfig.default()
+    lex = random_long_case(1)[1]
+    configs = [default, default.without_semantics(),
+               dataclasses.replace(default, subject_base=40),
+               dataclasses.replace(default, similarity_table={
+                   0: -9, 1: -6, 2: -3, 3: 0, 4: 3, 5: 6})]
+    documents = [random_case(seed)[0] for seed in range(100)]
+    expected = [[_fields(r) for d in documents for r in resolve_discourse(d, lex, config)]
+                for config in configs]
+    got = [[] for _ in configs]
+
+    def work(k):
+        for _ in range(3):
+            got[k].append([_fields(r) for d in documents
+                           for r in resolve_discourse(d, lex, configs[k])])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(configs)):
+        assert got[k] == [expected[k]] * 3
+    assert len(set(map(repr, expected))) == len(configs)
