@@ -30,7 +30,7 @@ from .lexicons import (
     load_thesaurus,
     load_xnoy,
 )
-from .resolver import SKIP, detect_targets, resolve, resolve_discourse
+from .resolver import resolve_discourse
 
 DATA_ERROR = 1
 CONFIG_ERROR = 2
@@ -43,9 +43,9 @@ def _read_corpus(path: str):
 
 def _load_run_config(args) -> ResolverConfig:
     config = ResolverConfig.default()
-    if getattr(args, "config", None):
+    if args.config:
         config = load_config(args.config, base=config)
-    if getattr(args, "no_semantics", False):
+    if args.no_semantics:
         config = config.without_semantics()
     return config
 
@@ -53,13 +53,14 @@ def _load_run_config(args) -> ResolverConfig:
 def _load_resolver_inputs(args):
     """Corpus, lexicons and config, with every code checked against the table.
 
-    Thesaurus codes and case-frame constraints deeper than the similarity
-    table would fail only once a candidate reaches that depth, so they are
-    rejected here, before anything is resolved or written.
+    The config is read first, so a configuration error stops the run before
+    any data file is read.  Thesaurus codes and case-frame constraints deeper
+    than the similarity table would fail only once a candidate reaches that
+    depth, so they are rejected here, before anything is resolved or written.
     """
+    config = _load_run_config(args)
     corpora = _read_corpus(args.corpus)
     lexicons = load_lexicons(args.lexicons)
-    config = _load_run_config(args)
     deepest = max(config.similarity_table)
     codes = [("thesaurus.tsv", f"lemma {lemma!r}", code)
              for lemma, lemma_codes in lexicons.thesaurus.codes.items()
@@ -93,29 +94,25 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    corpora, lexicons, config = _load_resolver_inputs(args)
-    if ":" not in args.anaphor:
+    doc_id, colon, raw_id = args.anaphor.partition(":")
+    if not colon:
         raise ConfigError("--anaphor takes DOC:ID")
-    doc_id, _, raw_id = args.anaphor.partition(":")
     try:
         phrase_id = int(raw_id)
     except ValueError:
         raise ConfigError(f"--anaphor phrase id must be an integer, got {raw_id!r}") from None
+    corpora, lexicons, config = _load_resolver_inputs(args)
     discourse = corpora.get(doc_id)
     if discourse is None:
         raise CorpusStructureError(f"no document {doc_id!r} in {args.corpus}")
     if not discourse.has_phrase(phrase_id):
         raise CorpusStructureError(f"no phrase {phrase_id} in document {doc_id!r}")
-    targets = [t for t in detect_targets(discourse, lexicons)
-               if t.phrase_id == phrase_id and t.mode != SKIP]
-    if not targets:
+    tables = [render_score_table(result, discourse)
+              for result in resolve_discourse(discourse, lexicons, config)
+              if result.anaphor_id == phrase_id]
+    if not tables:
         raise CorpusStructureError(
             f"phrase {doc_id}:{phrase_id} is not an anaphora target")
-    tables = []
-    for target in targets:
-        result = resolve(discourse.phrase(phrase_id), target.slot,
-                         discourse, lexicons, config)
-        tables.append(render_score_table(result, discourse))
     sys.stdout.write("\n".join(tables))
     return 0
 

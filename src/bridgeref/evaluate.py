@@ -5,9 +5,9 @@ got right; precision is the fraction of targets the system judged to have
 an antecedent that were right.  Verbal nouns are counted once per case
 slot, and a pseudo-candidate winner counts as a negative system judgement.
 A predictions file may leave units out, but lists each one at most once,
-scores an anaphor either as one whole-phrase unit or per case slot, and
-every winner it names must be a phrase of the document that precedes the
-anaphor.
+scores an anaphor either as one whole-phrase unit or per case slot (the
+latter for verbal nouns only), and every winner it names must be a phrase
+of the document that precedes the anaphor.
 """
 from __future__ import annotations
 
@@ -191,6 +191,10 @@ def evaluate(
         if not phrase.gold_antecedents:
             raise ValueError(
                 f"no gold record for anaphor {prediction.doc_id}:{prediction.anaphor_id}")
+        if prediction.slot is not None and phrase.noun_subtype != "verbal":
+            raise ValueError(
+                f"prediction for {prediction.doc_id}:{prediction.anaphor_id} gives "
+                f"slot {prediction.slot!r}, but only verbal nouns are scored by slot")
         if prediction.winner is not None and not discourse.has_phrase(prediction.winner):
             raise ValueError(
                 f"prediction for {prediction.doc_id}:{prediction.anaphor_id} names "

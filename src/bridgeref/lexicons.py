@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Optional
 
 from ._frozen import reduce_by_fields
 from .corpus import Phrase
-from .salience import load_weight_rows
 
 SURFACE_CASES = frozenset({"ga", "wo", "ni", "de", "kara", "he"})
 ATTRIBUTE_FLAGS = frozenset(
@@ -342,12 +341,20 @@ class LexiconSet:
     case_frames: CaseFrameDict
     xnoy: XnoYStore
     attrs: NounAttributes
-    weight_rows: tuple = ()     # optional extra salience rows (see salience module)
 
 
 def load_lexicons(directory: Path | str) -> LexiconSet:
-    """Load the four resource files (plus optional weights.tsv) from a directory."""
+    """Load the four resource files from a directory.
+
+    Extra salience rows come from the config's ``weight.*`` keys alone, so a
+    ``weights.tsv`` here is rejected rather than silently ignored.
+    """
     directory = Path(directory)
+    weights = directory / "weights.tsv"
+    if weights.exists():
+        raise LexiconFormatError(
+            f"{weights}: extra salience rows are read only from --config, as "
+            f"weight.<topic|focus>.<pattern>=<w> lines")
     required = {
         "thesaurus.tsv": load_thesaurus,
         "caseframes.txt": load_case_frames,
@@ -360,14 +367,9 @@ def load_lexicons(directory: Path | str) -> LexiconSet:
         if not path.exists():
             raise LexiconFormatError(f"missing lexicon file: {path}")
         loaded[name] = loader(path)
-    weight_rows: tuple = ()
-    weights_path = directory / "weights.tsv"
-    if weights_path.exists():
-        weight_rows = load_weight_rows(weights_path)
     return LexiconSet(
         thesaurus=loaded["thesaurus.tsv"],
         case_frames=loaded["caseframes.txt"],
         xnoy=loaded["xnoy.tsv"],
         attrs=loaded["nounattrs.tsv"],
-        weight_rows=weight_rows,
     )

@@ -211,17 +211,9 @@ def _run_caches(lex: LexiconSet, config: ResolverConfig) -> _RunCaches:
     global _run
     held_lex, held_config, caches = _run
     if held_lex is not lex or held_config is not config:
-        caches = _RunCaches(
-            default_rows() + tuple(lex.weight_rows) + config.extra_weight_rows)
+        caches = _RunCaches(default_rows() + config.extra_weight_rows)
         _run = (lex, config, caches)
     return caches
-
-
-def propose_prior_mentions(anaphor: Phrase, d: Discourse,
-                           config: ResolverConfig) -> list[Proposal]:
-    """R1: a definite phrase repeating an earlier lemma is direct anaphora."""
-    return _Sweep.before(anaphor, d, config, _RunCaches(())).mentions(
-        anaphor.lemma, config.identity_points, "R1")
 
 
 def propose_no_antecedent(prop: str, config: ResolverConfig) -> list[Proposal]:

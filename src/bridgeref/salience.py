@@ -3,12 +3,13 @@
 A noun phrase becomes a salience entry when its particles (or trailing
 punctuation) match one of the weight rows below.  Topic rows are tried
 first, then focus rows; the first matching row wins, and focus rows never
-apply to a phrase marked with ``wa``.
+apply to a phrase marked with ``wa``.  Extra rows come from the config's
+``weight.<kind>.<pattern>=<w>`` keys alone (see ``parse_weight_row``); the
+resolver tries them after the default rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
 from .corpus import PARTICLES, Discourse, Phrase
@@ -140,28 +141,3 @@ def parse_weight_row(kind: str, pattern: str, weight: int) -> WeightRow:
     if not particles and not match_punct:
         raise ValueError(f"weight row {pattern!r} matches nothing")
     return WeightRow(kind, word_class, particles, match_punct, weight)
-
-
-def load_weight_rows(path: Path | str) -> tuple[WeightRow, ...]:
-    """Read extra rows from a ``kind<TAB>pattern<TAB>weight`` file.
-
-    Extra rows are appended after the default tables, so they only fire for
-    phrases the default rows leave unclassified.
-    """
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 'kind<TAB>pattern<TAB>weight'")
-        try:
-            weight = int(parts[2])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: weight must be an integer") from None
-        try:
-            rows.append(parse_weight_row(parts[0], parts[1], weight))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return tuple(rows)

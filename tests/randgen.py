@@ -115,7 +115,6 @@ def random_lexicons(rng: random.Random) -> LexiconSet:
         case_frames=case_frames,
         xnoy=XnoYStore(pairs=tuple(pairs)),
         attrs=attrs,
-        weight_rows=(),
     )
 
 
@@ -173,7 +172,6 @@ def random_discourse(rng: random.Random, lex: LexiconSet,
                 case_frames=lex.case_frames,
                 xnoy=XnoYStore(pairs=lex.xnoy.pairs + extra),
                 attrs=lex.attrs,
-                weight_rows=lex.weight_rows,
             )
     return discourse, lex
 
@@ -237,7 +235,7 @@ def _oracle_classify(p: Phrase):
 
 
 def _oracle_extra_classify(p: Phrase, rows):
-    """The first extra weight row (lexicon rows, then config rows) matching p.
+    """The first of the config's extra weight rows matching p.
 
     Extra rows are only consulted for phrases the default rows leave
     unclassified, and focus rows never take a wa-marked phrase.
@@ -391,11 +389,11 @@ def oracle_all_scores(anaphor: Phrase, slot, d: Discourse, lex: LexiconSet,
                 if sim is not None:
                     add(p.id, config.subject_base + p_score + sim)
         entries = []
-        extra_rows = tuple(lex.weight_rows) + tuple(config.extra_weight_rows)
         for p in d.phrases():
             if p.id >= anaphor.id:
                 break
-            kind_weight = _oracle_classify(p) or _oracle_extra_classify(p, extra_rows)
+            kind_weight = _oracle_classify(p) or _oracle_extra_classify(
+                p, config.extra_weight_rows)
             if kind_weight is not None:
                 entries.append((p, kind_weight[0], kind_weight[1]))
         for i, (p, kind, weight) in enumerate(entries):

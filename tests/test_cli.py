@@ -4,7 +4,10 @@ import shutil
 import pytest
 
 from bridgeref.cli import main
+from bridgeref.config import ResolverConfig
 from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
+from bridgeref.explain import render_score_table
+from bridgeref.resolver import SKIP, detect_targets, resolve
 from test_corpus import CYCLE_DOC
 
 LEX = str(LEXICON_DIR)
@@ -64,6 +67,30 @@ def test_explain_non_target_is_a_data_error(capsys):
     assert "not an anaphora target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-semantics"]])
+def test_explain_prints_the_per_target_tables_of_every_target(
+        flags, corpora, lexicons, capsys):
+    config = ResolverConfig.default()
+    if flags:
+        config = config.without_semantics()
+    explained = 0
+    for doc_id, doc in corpora.items():
+        slots = {}
+        for target in detect_targets(doc, lexicons):
+            if target.mode != SKIP:
+                slots.setdefault(target.phrase_id, []).append(target.slot)
+        for phrase_id, phrase_slots in slots.items():
+            expected = "\n".join(
+                render_score_table(resolve(doc.phrase(phrase_id), slot, doc, lexicons,
+                                           config), doc)
+                for slot in phrase_slots)
+            assert main(["explain", "--corpus", CORPUS, "--lexicons", LEX,
+                         "--anaphor", f"{doc_id}:{phrase_id}", *flags]) == 0
+            assert capsys.readouterr().out == expected, (doc_id, phrase_id)
+            explained += 1
+    assert explained == 6
+
+
 def test_missing_corpus_file_is_a_data_error(capsys):
     assert main(["resolve", "--corpus", "/nonexistent.adc",
                  "--lexicons", LEX]) == 1
@@ -75,6 +102,30 @@ def test_bad_config_is_a_config_error(tmp_path, capsys):
     assert main(["resolve", "--corpus", CORPUS, "--lexicons", LEX,
                  "--config", str(config)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+BAD_CORPUS = "#DOC bad\n#SENT 0\n1\tneko\n"      # too few fields: exit 1 if read
+
+
+def test_bad_config_is_reported_before_the_corpus_is_read(tmp_path, capsys):
+    corpus = tmp_path / "bad.adc"
+    corpus.write_text(BAD_CORPUS, encoding="utf-8")
+    config = tmp_path / "bad.cfg"
+    config.write_text("sim.0=99\n", encoding="utf-8")
+    assert main(["explain", "--corpus", str(corpus), "--lexicons", LEX,
+                 "--anaphor", "rate:8"]) == 1
+    capsys.readouterr()
+    assert main(["resolve", "--corpus", str(corpus), "--lexicons", LEX,
+                 "--config", str(config)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_anaphor_without_a_colon_is_reported_before_the_corpus_is_read(tmp_path, capsys):
+    corpus = tmp_path / "bad.adc"
+    corpus.write_text(BAD_CORPUS, encoding="utf-8")
+    assert main(["explain", "--corpus", str(corpus), "--lexicons", LEX,
+                 "--anaphor", "rate8"]) == 2
+    assert "DOC:ID" in capsys.readouterr().err
 
 
 def test_config_overrides_apply(tmp_path, capsys):
@@ -237,6 +288,16 @@ def test_eval_rejects_an_anaphor_scored_whole_and_by_slot(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"lines {whole} and {len(lines) + 1}" in captured.err
     assert "rate:8" in captured.err and captured.out == ""
+
+
+def test_eval_rejects_a_slot_on_a_non_verbal_anaphor(tmp_path, capsys):
+    out = _demo_predictions(tmp_path)
+    text = out.read_text(encoding="utf-8").replace("rate\t8\t-\t7\t25", "rate\t8\tga\t7\t25")
+    out.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "rate:8" in captured.err and "'ga'" in captured.err and captured.out == ""
 
 
 _LEXICON_MUTANTS = (

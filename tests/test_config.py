@@ -2,12 +2,12 @@ import shutil
 
 import pytest
 
+from bridgeref.cli import main
 from bridgeref.config import ConfigError, ResolverConfig, load_config
 from bridgeref.corpus import Discourse, Sentence
-from bridgeref.data import LEXICON_DIR
-from bridgeref.lexicons import load_lexicons
+from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
+from bridgeref.lexicons import LexiconFormatError, load_lexicons
 from bridgeref.resolver import resolve
-from bridgeref.salience import classify_salience, default_rows
 from randgen import make_phrase
 
 
@@ -88,15 +88,26 @@ def test_extra_weight_rows_feed_the_resolver(lexicons, tmp_path):
     assert boosted.all_scores[1] == 16
 
 
-def test_weights_file_is_picked_up_from_lexicon_dir(tmp_path):
+def test_weights_file_in_lexicon_dir_is_rejected(tmp_path):
+    target = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, target)
+    weights = target / "weights.tsv"
+    weights.write_text("focus\tnoun:no\t12\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError, match="--config") as excinfo:
+        load_lexicons(target)
+    assert str(weights) in str(excinfo.value)
+    assert "weight.<topic|focus>.<pattern>=<w>" in str(excinfo.value)
+
+
+def test_resolve_with_a_weights_file_exits_1_and_writes_nothing(tmp_path, capsys):
     target = tmp_path / "lexicons"
     shutil.copytree(LEXICON_DIR, target)
     (target / "weights.tsv").write_text("focus\tnoun:no\t12\n", encoding="utf-8")
-    lexicons = load_lexicons(target)
-    assert len(lexicons.weight_rows) == 1
-    phrase = make_phrase(1, lemma="x", particles=("no",))
-    rows = default_rows() + lexicons.weight_rows
-    assert classify_salience(phrase, rows) == ("focus", 12)
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", str(DEMO_CORPUS), "--lexicons", str(target),
+                 "--out", str(out)]) == 1
+    assert "weights.tsv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_rejects_unreachable_example_level(tmp_path):
@@ -115,10 +126,3 @@ def test_unknown_weight_row_particle_names_file_and_line(tmp_path):
     with pytest.raises(ConfigError, match="line 2: unknown particle 'zz'") as excinfo:
         load_config(path)
     assert str(path) in str(excinfo.value)
-    target = tmp_path / "lexicons"
-    shutil.copytree(LEXICON_DIR, target)
-    weights = target / "weights.tsv"
-    weights.write_text("% extra rows\nfocus\tnoun:zz\t12\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2: unknown particle 'zz'") as excinfo:
-        load_lexicons(target)
-    assert str(weights) in str(excinfo.value)

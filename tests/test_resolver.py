@@ -18,7 +18,6 @@ from bridgeref.resolver import (
     Target,
     detect_targets,
     propose_no_antecedent,
-    propose_prior_mentions,
     referential_property,
     resolve,
     resolve_discourse,
@@ -101,6 +100,12 @@ def test_non_anaphoric_noun_is_skipped(lexicons):
 
 # --- individual rules ---------------------------------------------------------
 
+def _r1_proposals(anaphor, doc, config):
+    # "ie" is a plain-noun target once some "X no ie" example exists
+    result = resolve(anaphor, None, doc, _lex(pairs=[("kuruma", "ie")]), config)
+    return [(p.candidate, p.points, p.rule) for p in result.proposals if p.rule == "R1"]
+
+
 def test_prior_mentions_rule(config):
     doc = _doc(
         [make_phrase(1, lemma="ie", particles=("no",)),
@@ -108,14 +113,13 @@ def test_prior_mentions_rule(config):
         [make_phrase(3, lemma="ie", particles=("ga",), ref="definite"),
          make_phrase(4, lemma="neru", pos="verb")],
     )
-    proposals = propose_prior_mentions(doc.phrase(3), doc, config)
-    assert [(p.candidate, p.points, p.rule) for p in proposals] == [(1, 30, "R1")]
+    assert _r1_proposals(doc.phrase(3), doc, config) == [(1, 30, "R1")]
 
 
 def test_prior_mentions_need_a_match(config):
     doc = _doc([make_phrase(1, lemma="ie", ref="definite"),
                 make_phrase(2, lemma="neru", pos="verb")])
-    assert propose_prior_mentions(doc.phrase(1), doc, config) == []
+    assert _r1_proposals(doc.phrase(1), doc, config) == []
 
 
 def test_pseudo_candidates(config):

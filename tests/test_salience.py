@@ -4,7 +4,6 @@ from bridgeref.salience import (
     classify_salience,
     default_rows,
     distance,
-    load_weight_rows,
     parse_weight_row,
     salience_list,
 )
@@ -133,14 +132,6 @@ def test_parse_weight_row_rejects_junk():
         parse_weight_row("focus", "verb:wo", 14)
     with pytest.raises(ValueError):
         parse_weight_row("theme", "noun:wo", 14)
-
-
-def test_load_weight_rows(tmp_path):
-    path = tmp_path / "weights.tsv"
-    path.write_text("% extra rows\nfocus\tnoun:no\t12\n", encoding="utf-8")
-    rows = load_weight_rows(path)
-    assert len(rows) == 1
-    assert rows[0].weight == 12
 
 
 def test_parse_weight_row_rejects_unknown_particles():
