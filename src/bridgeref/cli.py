@@ -1,7 +1,8 @@
 """Command line front end: resolve, explain, eval, build-dict.
 
-Exit codes: 0 on success, 1 on data errors (corpus, lexicon, predictions),
-2 on configuration or usage errors.
+Exit codes: 0 on success, 1 on data errors (corpus, lexicon, predictions)
+and on any file that cannot be read or written, 2 on configuration or usage
+errors.
 """
 from __future__ import annotations
 
@@ -10,11 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ResolverConfig, load_config
-from .corpus import (
-    CorpusFormatError,
-    CorpusStructureError,
-    parse_corpus,
-)
+from .corpus import CorpusStructureError, parse_corpus
 from .dictbuild import build_dictionary
 from .evaluate import (
     evaluate,
@@ -23,13 +20,7 @@ from .evaluate import (
     serialize_predictions,
 )
 from .explain import render_score_table
-from .lexicons import (
-    LexiconFormatError,
-    load_lexicons,
-    load_noun_attributes,
-    load_thesaurus,
-    load_xnoy,
-)
+from .lexicons import load_lexicons, load_noun_attributes, load_thesaurus, load_xnoy
 from .resolver import resolve_discourse
 
 DATA_ERROR = 1
@@ -42,9 +33,7 @@ def _read_corpus(path: str):
 
 
 def _load_run_config(args) -> ResolverConfig:
-    config = ResolverConfig.default()
-    if args.config:
-        config = load_config(args.config, base=config)
+    config = load_config(args.config) if args.config else ResolverConfig.default()
     if args.no_semantics:
         config = config.without_semantics()
     return config
@@ -182,6 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    A ``ConfigError`` exits 2; any other ``ValueError`` (the corpus, lexicon
+    and predictions format errors among them) or ``OSError`` exits 1.  Both
+    print the message on one line of stderr, with no traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -189,8 +184,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except (CorpusFormatError, CorpusStructureError, LexiconFormatError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

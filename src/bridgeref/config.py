@@ -16,13 +16,17 @@ the defaults below are the shipped calibration.
                                 at most the similarity table's top level
     semantics=on            off fixes every similarity score to 0
     weight.focus.noun:no=12     extra salience row (class:particles[:punct])
+
+``ResolverConfig`` checks its definiteness keys and its similarity table
+however it is built, in code, by ``dataclasses.replace`` or from a file;
+``load_config`` only reads the file on top of the defaults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from ._frozen import reduce_by_fields
 from .salience import WeightRow, parse_weight_row
@@ -32,7 +36,7 @@ DEFAULT_DEFINITENESS: dict[str, int] = {"definite": 0, "indefinite": -5, "generi
 
 
 class ConfigError(ValueError):
-    """A configuration file entry is malformed or inconsistent."""
+    """A configuration value or file entry is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,15 @@ class ResolverConfig:
     extra_weight_rows: tuple[WeightRow, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "definiteness", MappingProxyType(dict(self.definiteness)))
-        object.__setattr__(
-            self, "similarity_table", MappingProxyType(dict(self.similarity_table)))
+        definiteness = dict(self.definiteness)
+        if definiteness.keys() != DEFAULT_DEFINITENESS.keys():
+            raise ConfigError(
+                f"definiteness must score exactly {sorted(DEFAULT_DEFINITENESS)}, "
+                f"got {list(definiteness)}")
+        similarity_table = dict(self.similarity_table)
+        _check_similarity_table(similarity_table)
+        object.__setattr__(self, "definiteness", MappingProxyType(definiteness))
+        object.__setattr__(self, "similarity_table", MappingProxyType(similarity_table))
 
     __reduce__ = reduce_by_fields
 
@@ -62,6 +72,10 @@ class ResolverConfig:
 
     def without_semantics(self) -> "ResolverConfig":
         return replace(self, semantics=False)
+
+
+# The keys of a config file that set an integer field of its own name.
+_INT_KEYS = frozenset(f.name for f in fields(ResolverConfig) if type(f.default) is int)
 
 
 def _check_similarity_table(table: Mapping[int, int]) -> None:
@@ -75,20 +89,17 @@ def _check_similarity_table(table: Mapping[int, int]) -> None:
             f"similarity table must be monotonically non-decreasing, got {scores}")
 
 
-def load_config(path: Path | str, base: Optional[ResolverConfig] = None) -> ResolverConfig:
-    """Read a key=value file on top of ``base`` (defaults when omitted)."""
-    base = base or ResolverConfig.default()
-    definiteness = dict(base.definiteness)
-    similarity = dict(base.similarity_table)
-    scalars = {
-        "subject_base": base.subject_base,
-        "identity_points": base.identity_points,
-        "relational_points": base.relational_points,
-        "pseudo_points": base.pseudo_points,
-        "example_match_min_level": base.example_match_min_level,
-    }
-    semantics = base.semantics
-    weight_rows = list(base.extra_weight_rows)
+def load_config(path: Path | str) -> ResolverConfig:
+    """Read a key=value file on top of the defaults.
+
+    ``ResolverConfig`` checks the values it is given; its errors come back
+    with the file's path.
+    """
+    default = ResolverConfig.default()
+    definiteness = dict(default.definiteness)
+    similarity = dict(default.similarity_table)
+    values: dict[str, object] = {}
+    weight_rows = []
 
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -104,42 +115,32 @@ def load_config(path: Path | str, base: Optional[ResolverConfig] = None) -> Reso
                 definiteness[key] = int(value)
             elif key.startswith("sim."):
                 similarity[int(key[4:])] = int(value)
-            elif key in scalars:
-                scalars[key] = int(value)
+            elif key in _INT_KEYS:
+                values[key] = int(value)
             elif key == "semantics":
                 if value not in ("on", "off", "true", "false"):
-                    raise ConfigError(
-                        f"{path}: line {lineno}: semantics must be on or off")
-                semantics = value in ("on", "true")
+                    raise ValueError("semantics must be on or off")
+                values[key] = value in ("on", "true")
             elif key.startswith("weight."):
                 parts = key.split(".", 2)
                 if len(parts) != 3:
-                    raise ConfigError(
-                        f"{path}: line {lineno}: expected weight.<kind>.<pattern>")
+                    raise ValueError("expected weight.<kind>.<pattern>")
                 weight_rows.append(parse_weight_row(parts[1], parts[2], int(value)))
             else:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+                raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from None
 
-    _check_similarity_table(similarity)
-    top = max(similarity)
-    if scalars["example_match_min_level"] > top:
+    try:
+        config = replace(default, definiteness=definiteness, similarity_table=similarity,
+                         extra_weight_rows=tuple(weight_rows), **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    top = max(config.similarity_table)
+    if config.example_match_min_level > top:
         # No level above the table's top can occur, so example matching
         # would be switched off without a word.
         raise ConfigError(
-            f"{path}: example_match_min_level={scalars['example_match_min_level']} "
+            f"{path}: example_match_min_level={config.example_match_min_level} "
             f"is above the similarity table's top level {top}")
-    return ResolverConfig(
-        definiteness=definiteness,
-        similarity_table=similarity,
-        subject_base=scalars["subject_base"],
-        identity_points=scalars["identity_points"],
-        relational_points=scalars["relational_points"],
-        pseudo_points=scalars["pseudo_points"],
-        example_match_min_level=scalars["example_match_min_level"],
-        semantics=semantics,
-        extra_weight_rows=tuple(weight_rows),
-    )
+    return config

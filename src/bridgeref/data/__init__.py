@@ -5,7 +5,3 @@ _ROOT = Path(__file__).resolve().parent
 
 DEMO_CORPUS = _ROOT / "demo.adc"
 LEXICON_DIR = _ROOT / "lexicons"
-
-
-def fixture_path(name: str) -> Path:
-    return _ROOT / name

@@ -26,11 +26,11 @@ get a second topic/focus proposal.
 ``resolve_discourse`` reads a document once, scoring each phrase from a
 record of the text before it; ``resolve`` builds that record for one
 anaphor.  What depends only on the lexicons and the config (target modes,
-salience classes, "X no Y" modifier sets and similarity scores) is cached
-for as long as the same ``LexiconSet`` and ``ResolverConfig`` objects are
-passed, so a run over many documents computes each of them once.  Both
-objects are immutable, which makes the cache sound; it is keyed by lemmas,
-particles and case slots and never holds a phrase or a document.
+salience classes and similarity scores) is cached for as long as the same
+``LexiconSet`` and ``ResolverConfig`` objects are passed, so a run over many
+documents computes each of them once.  Both objects are immutable, which
+makes the cache sound; it is keyed by lemmas, particles and case slots and
+never holds a phrase or a document.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from typing import Callable, Iterator, Optional, Union
 from .config import ResolverConfig
 from .corpus import Discourse, Phrase
 from .lexicons import (
+    SURFACE_CASES,
     CaseSlot,
     LexiconSet,
     VerbCaseFrame,
@@ -49,7 +50,7 @@ from .lexicons import (
     similarity_score,
     xnoy_modifier_set,
 )
-from .salience import classify_salience, default_rows
+from .salience import PRONOUN_LIKE, classify_salience, default_rows
 
 # Target modes.
 VERBAL = "VERBAL"
@@ -64,8 +65,7 @@ PSEUDO_GENERIC = "GENERIC"
 Candidate = Union[int, str]   # phrase id, or a pseudo candidate marker
 
 _SUBJECT_ROLES = frozenset({"subject_main", "subject_subordinate"})
-_SLOT_PARTICLES = {"ga": "ga", "wo": "wo", "ni": "ni", "niwa": "ni",
-                   "de": "de", "kara": "kara", "he": "he"}
+_SLOT_PARTICLES = {**{case: case for case in SURFACE_CASES}, "niwa": "ni"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +119,19 @@ def referential_property(
     demonstrative modifier or an earlier mention of the same lemma suggests
     definite, anything else indefinite.
     """
-    config = config or _DEFAULT_CONFIG
-    return _Sweep.before(p, d, config, _RunCaches(())).referential_property(p)
+    earlier = {q.lemma for q in d.preceding(p.id) if q.lemma}
+    return _referential_property(p, earlier, config or _DEFAULT_CONFIG)
+
+
+def _referential_property(p: Phrase, earlier_lemmas: set[str],
+                          config: ResolverConfig) -> tuple[str, int]:
+    """``referential_property`` given the non-empty lemmas before the phrase."""
+    prop = p.ref_property
+    if prop == "auto":
+        tokens = p.surface.split()
+        demonstrative = bool(tokens) and tokens[0] in ("kono", "sono", "ano")
+        prop = "definite" if demonstrative or p.lemma in earlier_lemmas else "indefinite"
+    return prop, config.definiteness[prop]
 
 
 def _classify_target(phrase: Phrase, lex: LexiconSet
@@ -130,7 +141,7 @@ def _classify_target(phrase: Phrase, lex: LexiconSet
     A verbal target has one slot per surface case of its frame; any other
     phrase has the single slot None.
     """
-    if not phrase.is_noun() or phrase.noun_subtype in ("pronoun", "zero_pronoun"):
+    if not phrase.is_noun() or phrase.noun_subtype in PRONOUN_LIKE:
         return SKIP, None, (None,)
     if phrase.noun_subtype == "verbal":
         frame = lookup_case_frame(phrase.lemma, lex.case_frames)
@@ -179,7 +190,7 @@ def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
 class _RunCaches:
     """What the resolver derives from one lexicon set and one config alone."""
 
-    __slots__ = ("rows", "targets", "salience", "scores", "modifiers")
+    __slots__ = ("rows", "targets", "salience", "scores")
 
     def __init__(self, rows: tuple) -> None:
         self.rows = rows                                # salience weight rows
@@ -189,8 +200,6 @@ class _RunCaches:
         self.salience: dict[tuple, Optional[tuple[str, int]]] = {}
         # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
         self.scores: dict[object, dict[tuple, Optional[int]]] = {}
-        # anaphor lemma -> its "X no Y" modifier set (R4)
-        self.modifiers: dict[str, frozenset[str]] = {}
 
     def target(self, phrase: Phrase, lex: LexiconSet
                ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
@@ -262,7 +271,6 @@ class _Sweep:
         self.d, self.config, self.rows = d, config, caches.rows
         self.classes = caches.salience
         self.scores = caches.scores
-        self.modifiers = caches.modifiers
         # (phrase, kind, weight, index among entries of its kind) of every
         # salience entry but zero pronouns, which only count towards distance.
         self.entries: list[tuple[Phrase, str, int, int]] = []
@@ -271,14 +279,6 @@ class _Sweep:
         self.nouns: dict[str, list[Phrase]] = {}        # lemma -> noun phrases
         # score source (see self.scores) -> score of each entry, in entry order
         self.sims: dict[object, list[Optional[int]]] = {}
-
-    @classmethod
-    def before(cls, anaphor: Phrase, d: Discourse, config: ResolverConfig,
-               caches: _RunCaches) -> "_Sweep":
-        sweep = cls(d, config, caches)
-        for phrase in d.preceding(anaphor.id):
-            sweep.add(phrase)
-        return sweep
 
     def add(self, phrase: Phrase) -> None:
         shape = phrase.pos, phrase.noun_subtype, phrase.particles, phrase.punct_after
@@ -296,15 +296,6 @@ class _Sweep:
             if phrase.is_noun():
                 self.nouns.setdefault(phrase.lemma, []).append(phrase)
 
-    def referential_property(self, p: Phrase) -> tuple[str, int]:
-        prop = p.ref_property
-        if prop == "auto":
-            tokens = p.surface.split()
-            demonstrative = bool(tokens) and tokens[0] in ("kono", "sono", "ano")
-            mentioned = p.lemma in self.lemmas
-            prop = "definite" if demonstrative or mentioned else "indefinite"
-        return prop, self.config.definiteness[prop]
-
     def mentions(self, lemma: str, points: int, rule: str) -> list[Proposal]:
         """R1/R6: one fixed proposal per earlier noun phrase with the lemma."""
         return [Proposal(p.id, points, rule) for p in self.nouns.get(lemma, ())]
@@ -312,7 +303,7 @@ class _Sweep:
     def resolve(self, anaphor: Phrase, mode: str, frame: Optional[VerbCaseFrame],
                 slot: Optional[str], lex: LexiconSet) -> ResolutionResult:
         config = self.config
-        prop, p_score = self.referential_property(anaphor)
+        prop, p_score = _referential_property(anaphor, self.lemmas, config)
         direct_proposals: list[Proposal] = []
         if mode != VERBAL and prop == "definite":
             direct_proposals = self.mentions(anaphor.lemma, config.identity_points, "R1")
@@ -320,14 +311,10 @@ class _Sweep:
 
         case_slot = None
         if mode == NOMINAL:
-            modifiers = self.modifiers.get(anaphor.lemma)
-            if modifiers is None:
-                modifiers = self.modifiers[anaphor.lemma] = frozenset(
-                    xnoy_modifier_set(anaphor.lemma, lex.xnoy, lex.attrs))
-
             def similarity(candidate: Phrase) -> int:
                 if not config.semantics:
                     return 0
+                modifiers = xnoy_modifier_set(anaphor.lemma, lex.xnoy, lex.attrs)
                 best = max((similarity_level(candidate.lemma, x, lex.thesaurus)
                             for x in modifiers), default=0)
                 return similarity_score(best, config.similarity_table)
@@ -430,7 +417,9 @@ def resolve(
         raise ValueError(f"{mode} target does not take a case slot")
     if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
         raise ValueError(f"anaphor {anaphor.id} is not part of document {d.doc_id!r}")
-    sweep = _Sweep.before(anaphor, d, config, caches)
+    sweep = _Sweep(d, config, caches)
+    for phrase in d.preceding(anaphor.id):
+        sweep.add(phrase)
     return sweep.resolve(anaphor, mode, frame, slot, lex)
 
 

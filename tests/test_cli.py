@@ -91,6 +91,33 @@ def test_explain_prints_the_per_target_tables_of_every_target(
     assert explained == 6
 
 
+@pytest.mark.parametrize("anaphor, code, message", [
+    ("rate:x", 2, "must be an integer, got 'x'"),
+    ("nosuch:1", 1, "no document 'nosuch'"),
+    ("rate:99", 1, "no phrase 99 in document 'rate'"),
+])
+def test_explain_rejects_an_anaphor_it_cannot_find(anaphor, code, message, capsys):
+    assert main(["explain", "--corpus", CORPUS, "--lexicons", LEX,
+                 "--anaphor", anaphor]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--corpus", "{dir}", "--lexicons", LEX, "--out", "{dir}/preds.tsv"],
+    ["resolve", "--corpus", CORPUS, "--lexicons", LEX, "--out", "{dir}"],
+    ["resolve", "--corpus", CORPUS, "--lexicons", LEX, "--config", "{dir}",
+     "--out", "{dir}/preds.tsv"],
+    ["eval", "--corpus", CORPUS, "--predictions", "{dir}"],
+])
+def test_a_directory_in_place_of_a_file_is_a_data_error(argv, tmp_path, capsys):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_corpus_file_is_a_data_error(capsys):
     assert main(["resolve", "--corpus", "/nonexistent.adc",
                  "--lexicons", LEX]) == 1
@@ -157,6 +184,17 @@ def test_build_dict_bad_merge_argument(capsys):
                  "--thesaurus", str(lex / "thesaurus.tsv"),
                  "--attrs", str(lex / "nounattrs.tsv"),
                  "--merge", "nonsense"]) == 2
+
+
+def test_build_dict_merge_from_an_unknown_noun_is_a_data_error(capsys):
+    lex = LEXICON_DIR
+    assert main(["build-dict",
+                 "--xnoy", str(lex / "xnoy.tsv"),
+                 "--thesaurus", str(lex / "thesaurus.tsv"),
+                 "--attrs", str(lex / "nounattrs.tsv"),
+                 "--merge", "genshu:nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert "no examples for head noun 'nosuch'" in captured.err and captured.out == ""
 
 
 def test_usage_error_exits_2():
@@ -298,6 +336,20 @@ def test_eval_rejects_a_slot_on_a_non_verbal_anaphor(tmp_path, capsys):
     assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
     captured = capsys.readouterr()
     assert "rate:8" in captured.err and "'ga'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("rate\t8\t-\tx\t25", "bad integer field"),
+    ("rate\t99\t-\t7\t25", "document 'rate' has no phrase 99"),
+])
+def test_eval_rejects_a_line_it_cannot_place(line, message, tmp_path, capsys):
+    out = _demo_predictions(tmp_path)
+    text = out.read_text(encoding="utf-8").replace("rate\t8\t-\t7\t25", line)
+    out.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 _LEXICON_MUTANTS = (

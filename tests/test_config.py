@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import shutil
 
 import pytest
@@ -126,3 +129,29 @@ def test_unknown_weight_row_particle_names_file_and_line(tmp_path):
     with pytest.raises(ConfigError, match="line 2: unknown particle 'zz'") as excinfo:
         load_config(path)
     assert str(path) in str(excinfo.value)
+
+
+def test_config_built_in_code_is_checked():
+    for fields, message in [
+            ({"definiteness": {"definite": 0}}, "definiteness must score exactly"),
+            ({"similarity_table": {}}, "contiguous"),
+            ({"similarity_table": {0: -30, 2: 5}}, "contiguous"),
+            ({"similarity_table": {0: 10, 1: -5}}, "monotonic")]:
+        with pytest.raises(ConfigError, match=message):
+            ResolverConfig(**fields)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(ResolverConfig.default(), **fields)
+    sound = ResolverConfig(definiteness={"definite": 1, "indefinite": -4, "generic": -6},
+                           similarity_table={0: -9, 1: 0, 2: 4})
+    for clone in (pickle.loads(pickle.dumps(sound)), copy.deepcopy(sound)):
+        assert clone == sound
+
+
+@pytest.mark.parametrize("text, message", [("sim.9=50\n", "contiguous"),
+                                           ("sim.5=-99\n", "monotonic")])
+def test_unsound_table_in_a_file_names_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message) as excinfo:
+        load_config(path)
+    assert str(excinfo.value).startswith(f"{path}: ")

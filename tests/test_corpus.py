@@ -105,6 +105,30 @@ def test_sentence_indices_must_be_contiguous():
         parse_discourse("#DOC t\n#SENT 1\n")
 
 
+def test_sentence_before_any_document():
+    with pytest.raises(CorpusFormatError, match="line 1: #SENT before any #DOC"):
+        parse_corpus("#SENT 0\n")
+
+
+def test_validate_flags_a_gap_in_sentence_indices():
+    doc = Discourse(doc_id="t", sentences=(
+        Sentence(0, (make_phrase(1, lemma="neru", pos="verb"),)),
+        Sentence(2, (make_phrase(2, lemma="neru", pos="verb"),))))
+    assert validate_discourse(doc) == [
+        "sentence 2: indices must be contiguous from 0 (expected 1)"]
+
+
+def test_labelled_none_gold_round_trips():
+    text = (
+        "#DOC t\n#SENT 0\n"
+        "1\tbunseki\tbunseki\tnoun\tverbal\two\t2\t-\t-\t-\trel=ga:NONE\n"
+        "2\tshita.\tsuru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+    )
+    doc = parse_discourse(text)
+    assert doc.phrase(1).gold_antecedents == (GoldAntecedent("ga", None),)
+    assert serialize_discourse(doc) == text
+
+
 def test_parse_discourse_requires_exactly_one_document(corpora):
     with pytest.raises(CorpusFormatError, match="exactly one"):
         parse_discourse("#DOC a\n#DOC b\n")

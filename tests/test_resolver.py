@@ -296,6 +296,11 @@ def test_resolve_rejects_unknown_slot(corpora, lexicons):
         resolve(corpora["rate"].phrase(8), "ga", corpora["rate"], lexicons)
 
 
+def test_resolve_rejects_a_phrase_of_another_document(corpora, lexicons):
+    with pytest.raises(ValueError, match="not part of document 'analysis'"):
+        resolve(corpora["rate"].phrase(8), None, corpora["analysis"], lexicons)
+
+
 def test_resolve_discourse_covers_all_targets(corpora, lexicons):
     results = resolve_discourse(corpora["analysis"], lexicons)
     assert [(r.anaphor_id, r.slot) for r in results] == [(9, "ga"), (9, "wo")]
