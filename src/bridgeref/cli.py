@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ResolverConfig, load_config
-from .corpus import CorpusStructureError, parse_corpus
+from .corpus import CorpusFormatError, CorpusStructureError, parse_corpus
 from .dictbuild import build_dictionary
 from .evaluate import (
     evaluate,
@@ -28,8 +28,16 @@ CONFIG_ERROR = 2
 
 
 def _read_corpus(path: str):
-    documents = parse_corpus(Path(path).read_text(encoding="utf-8"))
-    return {d.doc_id: d for d in documents}
+    try:
+        documents = parse_corpus(Path(path).read_text(encoding="utf-8"))
+    except (CorpusFormatError, CorpusStructureError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    corpora = {}
+    for d in documents:
+        if d.doc_id in corpora:
+            raise CorpusStructureError(f"{path}: document id {d.doc_id!r} is repeated")
+        corpora[d.doc_id] = d
+    return corpora
 
 
 def _load_run_config(args) -> ResolverConfig:

@@ -17,7 +17,8 @@ the defaults below are the shipped calibration.
     semantics=on            off fixes every similarity score to 0
     weight.focus.noun:no=12     extra salience row (class:particles[:punct])
 
-``ResolverConfig`` checks its definiteness keys and its similarity table
+``ResolverConfig`` checks its definiteness keys, its similarity table and that
+every score and point value is an ``int`` (and ``semantics`` a ``bool``)
 however it is built, in code, by ``dataclasses.replace`` or from a file;
 ``load_config`` only reads the file on top of the defaults.
 """
@@ -60,6 +61,13 @@ class ResolverConfig:
                 f"definiteness must score exactly {sorted(DEFAULT_DEFINITENESS)}, "
                 f"got {list(definiteness)}")
         similarity_table = dict(self.similarity_table)
+        scores = {**definiteness, **{name: getattr(self, name) for name in _INT_KEYS},
+                  **{f"sim.{level}": score for level, score in similarity_table.items()}}
+        for key, score in scores.items():
+            if type(score) is not int:
+                raise ConfigError(f"{key} must be an integer, got {score!r}")
+        if type(self.semantics) is not bool:
+            raise ConfigError(f"semantics must be a bool, got {self.semantics!r}")
         _check_similarity_table(similarity_table)
         object.__setattr__(self, "definiteness", MappingProxyType(definiteness))
         object.__setattr__(self, "similarity_table", MappingProxyType(similarity_table))
@@ -75,7 +83,7 @@ class ResolverConfig:
 
 
 # The keys of a config file that set an integer field of its own name.
-_INT_KEYS = frozenset(f.name for f in fields(ResolverConfig) if type(f.default) is int)
+_INT_KEYS = tuple(f.name for f in fields(ResolverConfig) if type(f.default) is int)
 
 
 def _check_similarity_table(table: Mapping[int, int]) -> None:

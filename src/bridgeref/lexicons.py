@@ -12,6 +12,7 @@ All four resources are plain UTF-8 files with ``%`` comment lines:
 * noun attributes: ``lemma<TAB>flag[,flag...]`` with flags from
                   adjectival / numeral / temporal / non_anaphoric / relational.
 
+A line that breaks a rule is rejected as ``<file>: line <n>: <message>``.
 Loaded lexicons are immutable and safe to share between workers.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from ._frozen import reduce_by_fields
 from .corpus import Phrase
@@ -35,12 +36,29 @@ class LexiconFormatError(ValueError):
     """A lexicon file line does not match its format."""
 
 
-def _data_lines(text: str) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read(path: Path | str, parse_line: Callable[[int, str], None]) -> None:
+    """Hand each data line and its number to ``parse_line``; name file and line on error."""
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("%"):
+            try:
+                parse_line(lineno, line)
+            except ValueError as exc:
+                raise LexiconFormatError(f"{path}: line {lineno}: {exc}") from None
+
+
+def _two_fields(line: str, form: str) -> tuple[str, str]:
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise ValueError(f"expected '{form}'")
+    return parts[0], parts[1]
+
+
+def _checked_entry(lemma: str, code: str) -> tuple[str, str]:
+    if not code or not code.isdigit():
+        raise LexiconFormatError(
+            f"thesaurus code for {lemma!r} must be a nonempty digit string")
+    return lemma, code
 
 
 @dataclass(frozen=True)
@@ -61,9 +79,7 @@ class Thesaurus:
         codes: dict[str, tuple[str, ...]] = {}
         max_depth = 0
         for lemma, code in entries:
-            if not code or not code.isdigit():
-                raise LexiconFormatError(
-                    f"thesaurus code for {lemma!r} must be a nonempty digit string")
+            _checked_entry(lemma, code)
             codes[lemma] = codes.get(lemma, ()) + (code,)
             max_depth = max(max_depth, len(code))
         return cls(codes=codes, max_depth=max_depth)
@@ -71,12 +87,8 @@ class Thesaurus:
 
 def load_thesaurus(path: Path | str) -> Thesaurus:
     entries = []
-    for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8")):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise LexiconFormatError(
-                f"{path}: line {lineno}: expected 'lemma<TAB>code'")
-        entries.append((parts[0], parts[1]))
+    _read(path, lambda lineno, line: entries.append(
+        _checked_entry(*_two_fields(line, "lemma<TAB>code"))))
     return Thesaurus.from_entries(entries)
 
 
@@ -152,73 +164,59 @@ def lookup_case_frame(lemma: str, frames: CaseFrameDict) -> Optional[VerbCaseFra
     return None
 
 
-def _parse_kv(token: str, key: str, path, lineno: int) -> str:
+def _parse_kv(token: str, key: str) -> str:
     prefix = key + "="
     if not token.startswith(prefix):
-        raise LexiconFormatError(f"{path}: line {lineno}: expected '{key}=...', got {token!r}")
+        raise ValueError(f"expected '{key}=...', got {token!r}")
     return token[len(prefix):]
 
 
 def load_case_frames(path: Path | str) -> CaseFrameDict:
-    frames: dict[str, VerbCaseFrame] = {}
-    verbal_nouns: dict[str, str] = {}
-    mapped_at: dict[str, int] = {}      # verbal noun -> line of its mapping
-    current_verb: Optional[str] = None
-    current_slots: list[CaseSlot] = []
+    blocks: list[tuple[str, list[CaseSlot]]] = []   # (verb, its slots), in file order
+    mapped: dict[str, tuple[str, int]] = {}     # verbal noun -> (verb, line of its mapping)
 
-    def close():
-        nonlocal current_verb, current_slots
-        if current_verb is not None:
-            cases = [s.surface_case for s in current_slots]
-            if len(cases) != len(set(cases)):
-                raise LexiconFormatError(
-                    f"{path}: duplicate surface case in frame {current_verb!r}")
-            frames[current_verb] = VerbCaseFrame(current_verb, tuple(current_slots))
-        current_verb, current_slots = None, []
-
-    for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8")):
+    def parse_line(lineno: int, line: str) -> None:
         tokens = line.split()
         if tokens[0] == "verb":
-            close()
             if len(tokens) != 2:
-                raise LexiconFormatError(f"{path}: line {lineno}: expected 'verb <lemma>'")
-            current_verb = tokens[1]
+                raise ValueError("expected 'verb <lemma>'")
+            blocks.append((tokens[1], []))
         elif tokens[0] == "slot":
-            if current_verb is None:
-                raise LexiconFormatError(f"{path}: line {lineno}: slot outside a verb block")
+            if not blocks:
+                raise ValueError("slot outside a verb block")
             if len(tokens) != 4:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: expected "
-                    "'slot case=<c> constraints=<codes,> examples=<lemmas,>'")
-            case = _parse_kv(tokens[1], "case", path, lineno)
+                raise ValueError(
+                    "expected 'slot case=<c> constraints=<codes,> examples=<lemmas,>'")
+            case = _parse_kv(tokens[1], "case")
             if case not in SURFACE_CASES:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: unknown surface case {case!r}")
+                raise ValueError(f"unknown surface case {case!r}")
             constraints = tuple(
-                c for c in _parse_kv(tokens[2], "constraints", path, lineno).split(",")
-                if c and c != "-")
+                c for c in _parse_kv(tokens[2], "constraints").split(",") if c and c != "-")
             examples = tuple(
-                e for e in _parse_kv(tokens[3], "examples", path, lineno).split(",")
-                if e and e != "-")
+                e for e in _parse_kv(tokens[3], "examples").split(",") if e and e != "-")
             if not constraints and not examples:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: slot needs constraints or examples")
-            current_slots.append(CaseSlot(case, constraints, examples))
+                raise ValueError("slot needs constraints or examples")
+            verb, slots = blocks[-1]
+            if any(s.surface_case == case for s in slots):
+                raise ValueError(f"duplicate surface case in frame {verb!r}")
+            slots.append(CaseSlot(case, constraints, examples))
         elif tokens[0] == "vn":
             if len(tokens) != 4 or tokens[2] != "->":
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: expected 'vn <noun> -> <verb>'")
-            verbal_nouns[tokens[1]] = tokens[3]
-            mapped_at[tokens[1]] = lineno
+                raise ValueError("expected 'vn <noun> -> <verb>'")
+            mapped[tokens[1]] = tokens[3], lineno
         else:
-            raise LexiconFormatError(f"{path}: line {lineno}: unknown directive {tokens[0]!r}")
-    close()
-    for noun, verb in verbal_nouns.items():
+            raise ValueError(f"unknown directive {tokens[0]!r}")
+
+    _read(path, parse_line)
+    # A verb given two blocks keeps its first place and its last slots.
+    frames = {verb: VerbCaseFrame(verb, tuple(slots)) for verb, slots in blocks}
+    for noun, (verb, lineno) in mapped.items():
         if verb not in frames:
             raise LexiconFormatError(
-                f"{path}: line {mapped_at[noun]}: verbal noun {noun!r} maps to "
+                f"{path}: line {lineno}: verbal noun {noun!r} maps to "
                 f"unknown verb {verb!r}")
-    return CaseFrameDict(frames=frames, verbal_nouns=verbal_nouns)
+    return CaseFrameDict(frames=frames, verbal_nouns={
+        noun: verb for noun, (verb, _) in mapped.items()})
 
 
 @dataclass(frozen=True)
@@ -242,11 +240,7 @@ class XnoYStore:
 
 def load_xnoy(path: Path | str) -> XnoYStore:
     pairs = []
-    for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8")):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise LexiconFormatError(f"{path}: line {lineno}: expected 'x<TAB>y'")
-        pairs.append((parts[0], parts[1]))
+    _read(path, lambda lineno, line: pairs.append(_two_fields(line, "x<TAB>y")))
     return XnoYStore(pairs=tuple(pairs))
 
 
@@ -268,20 +262,18 @@ class NounAttributes:
 
 def load_noun_attributes(path: Path | str) -> NounAttributes:
     flags: dict[str, frozenset[str]] = {}
-    for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8")):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise LexiconFormatError(
-                f"{path}: line {lineno}: expected 'lemma<TAB>flag[,flag...]'")
-        lemma, raw_flags = parts
+
+    def parse_line(lineno: int, line: str) -> None:
+        lemma, raw_flags = _two_fields(line, "lemma<TAB>flag[,flag...]")
         entry = frozenset(f for f in raw_flags.split(",") if f)
         if not entry:
-            raise LexiconFormatError(f"{path}: line {lineno}: empty flag list")
+            raise ValueError("empty flag list")
         unknown = entry - ATTRIBUTE_FLAGS
         if unknown:
-            raise LexiconFormatError(
-                f"{path}: line {lineno}: unknown flags {sorted(unknown)}")
+            raise ValueError(f"unknown flags {sorted(unknown)}")
         flags[lemma] = flags.get(lemma, frozenset()) | entry
+
+    _read(path, parse_line)
     return NounAttributes(flags=flags)
 
 
@@ -355,21 +347,12 @@ def load_lexicons(directory: Path | str) -> LexiconSet:
         raise LexiconFormatError(
             f"{weights}: extra salience rows are read only from --config, as "
             f"weight.<topic|focus>.<pattern>=<w> lines")
-    required = {
-        "thesaurus.tsv": load_thesaurus,
-        "caseframes.txt": load_case_frames,
-        "xnoy.tsv": load_xnoy,
-        "nounattrs.tsv": load_noun_attributes,
-    }
-    loaded = {}
-    for name, loader in required.items():
-        path = directory / name
-        if not path.exists():
-            raise LexiconFormatError(f"missing lexicon file: {path}")
-        loaded[name] = loader(path)
+    for name in ("thesaurus.tsv", "caseframes.txt", "xnoy.tsv", "nounattrs.tsv"):
+        if not (directory / name).exists():
+            raise LexiconFormatError(f"missing lexicon file: {directory / name}")
     return LexiconSet(
-        thesaurus=loaded["thesaurus.tsv"],
-        case_frames=loaded["caseframes.txt"],
-        xnoy=loaded["xnoy.tsv"],
-        attrs=loaded["nounattrs.tsv"],
+        thesaurus=load_thesaurus(directory / "thesaurus.tsv"),
+        case_frames=load_case_frames(directory / "caseframes.txt"),
+        xnoy=load_xnoy(directory / "xnoy.tsv"),
+        attrs=load_noun_attributes(directory / "nounattrs.tsv"),
     )

@@ -1,5 +1,7 @@
 import random
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from bridgeref.cli import main
 from bridgeref.config import ResolverConfig
 from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
 from bridgeref.explain import render_score_table
+from bridgeref.lexicons import LexiconFormatError, load_lexicons
 from bridgeref.resolver import SKIP, detect_targets, resolve
 from test_corpus import CYCLE_DOC
 
@@ -413,6 +416,70 @@ def test_mutated_lexicon_lines_exit_0_1_or_2(tmp_path, capsys):
         capsys.readouterr()
         (lex / name).write_text(original, encoding="utf-8")
     assert {0, 1} <= set(codes) <= {0, 1, 2}, sorted(set(codes))
+
+
+def test_every_rejected_lexicon_mutation_names_its_file_and_line(tmp_path):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    names = sorted(p.name for p in LEXICON_DIR.iterdir())
+    rng = random.Random(13)
+    outcomes = []
+    for n in range(600):
+        name = names[n % len(names)]
+        original = (LEXICON_DIR / name).read_text(encoding="utf-8")
+        (lex / name).write_text(_mutated_text(rng, original, _LEXICON_MUTANTS),
+                                encoding="utf-8")
+        try:
+            load_lexicons(lex)
+            outcomes.append("accepted")
+        except LexiconFormatError as exc:
+            assert re.match(rf"{re.escape(str(lex / name))}: line \d+: ", str(exc)), str(exc)
+            outcomes.append("rejected")
+        (lex / name).write_text(original, encoding="utf-8")
+    assert set(outcomes) == {"accepted", "rejected"}
+
+
+def test_resolve_names_the_line_of_a_non_digit_thesaurus_code(tmp_path, capsys):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    thesaurus = lex / "thesaurus.tsv"
+    lineno = len(thesaurus.read_text(encoding="utf-8").splitlines()) + 1
+    with thesaurus.open("a", encoding="utf-8") as f:
+        f.write("ie\t12a\n")
+    assert main(["resolve", "--corpus", CORPUS, "--lexicons", str(lex)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{thesaurus}: line {lineno}: thesaurus code for 'ie'" in captured.err
+
+
+def test_a_repeated_document_id_is_a_data_error(tmp_path, capsys):
+    twice = tmp_path / "twice.adc"
+    twice.write_text(Path(CORPUS).read_text(encoding="utf-8") * 2, encoding="utf-8")
+    predictions = _demo_predictions(tmp_path)
+    out = tmp_path / "twice.tsv"
+    assert main(["resolve", "--corpus", str(twice), "--lexicons", LEX,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"{twice}: document id 'rate' is repeated" in capsys.readouterr().err
+    assert main(["eval", "--corpus", str(twice), "--predictions", str(predictions)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{twice}: document id 'rate'" in captured.err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("\tkyoutyou\tnoun\t", "\tkyoutyou\tnoun\t\t", "line 9: "),
+    ("\tkyoutyou\tnoun\tcommon\two\t3\t", "\tkyoutyou\tnoun\tcommon\two\t99\t",
+     "document 'rate': "),
+])
+def test_eval_names_the_corpus_file_of_a_broken_record(old, new, message, tmp_path, capsys):
+    predictions = _demo_predictions(tmp_path)
+    corpus = tmp_path / "broken.adc"
+    corpus.write_text(Path(CORPUS).read_text(encoding="utf-8").replace(old, new, 1),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(corpus), "--predictions", str(predictions)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {corpus}: {message}" in captured.err
 
 
 _CONFIG = """\

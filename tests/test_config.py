@@ -147,6 +147,34 @@ def test_config_built_in_code_is_checked():
         assert clone == sound
 
 
+def test_weight_row_with_a_bad_suffix_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("weight.topic.noun:ga:xyz=5\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == (
+        f"{path}: line 1: bad weight row suffix 'xyz' (only 'punct' allowed)")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"subject_base": "23"}, "subject_base must be an integer, got '23'"),
+    ({"identity_points": 30.0}, "identity_points must be an integer, got 30.0"),
+    ({"relational_points": None}, "relational_points must be an integer, got None"),
+    ({"pseudo_points": True}, "pseudo_points must be an integer, got True"),
+    ({"example_match_min_level": "4"}, "example_match_min_level must be an integer"),
+    ({"definiteness": {"definite": "0", "indefinite": -5, "generic": -5}},
+     "definite must be an integer, got '0'"),
+    ({"similarity_table": {0: -30, 1: "5"}}, "sim.1 must be an integer, got '5'"),
+    ({"semantics": "off"}, "semantics must be a bool, got 'off'"),
+    ({"semantics": 0}, "semantics must be a bool, got 0"),
+])
+def test_config_value_types_are_checked(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        ResolverConfig(**fields)
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(ResolverConfig.default(), **fields)
+
+
 @pytest.mark.parametrize("text, message", [("sim.9=50\n", "contiguous"),
                                            ("sim.5=-99\n", "monotonic")])
 def test_unsound_table_in_a_file_names_the_file(tmp_path, text, message):

@@ -85,6 +85,11 @@ def test_malformed_line_names_line_and_field():
         parse_discourse(text)
 
 
+def test_phrase_lookup_names_the_id_and_the_document(corpora):
+    with pytest.raises(KeyError, match="no phrase with id 999 in document 'rate'"):
+        corpora["rate"].phrase(999)
+
+
 def test_field_count_is_checked():
     with pytest.raises(CorpusFormatError, match="11 tab-separated"):
         parse_discourse("#DOC t\n#SENT 0\n1\tneko\tneko\n")

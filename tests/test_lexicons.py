@@ -189,6 +189,27 @@ def test_case_frame_loader_rejects_duplicate_cases(tmp_path):
         load_case_frames(path)
 
 
+def test_non_digit_thesaurus_code_names_the_file_and_line(tmp_path):
+    path = tmp_path / "thesaurus.tsv"
+    path.write_text("% lemma<TAB>code\nkuni\t1253\nie\t12a\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as excinfo:
+        load_thesaurus(path)
+    assert str(excinfo.value) == (
+        f"{path}: line 3: thesaurus code for 'ie' must be a nonempty digit string")
+
+
+def test_duplicate_case_names_the_line_of_the_second_slot(tmp_path):
+    path = tmp_path / "caseframes.txt"
+    path.write_text(
+        "verb neru\nslot case=ga constraints=11 examples=-\n"
+        "slot case=wo constraints=12 examples=-\n"
+        "slot case=ga constraints=13 examples=-\nverb kaku\n",
+        encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as excinfo:
+        load_case_frames(path)
+    assert str(excinfo.value) == f"{path}: line 4: duplicate surface case in frame 'neru'"
+
+
 def test_attribute_loader_rejects_unknown_flags(tmp_path):
     path = tmp_path / "nounattrs.tsv"
     path.write_text("neko\tfluffy\n", encoding="utf-8")
