@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ._files import read_utf8
 from .config import ConfigError, ResolverConfig, load_config
 from .corpus import CorpusFormatError, CorpusStructureError, parse_corpus
 from .dictbuild import build_dictionary
@@ -28,8 +29,9 @@ CONFIG_ERROR = 2
 
 
 def _read_corpus(path: str):
+    text = read_utf8(path, CorpusFormatError)
     try:
-        documents = parse_corpus(Path(path).read_text(encoding="utf-8"))
+        documents = parse_corpus(text)
     except (CorpusFormatError, CorpusStructureError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
     corpora = {}
@@ -116,7 +118,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_eval(args) -> int:
     corpora = _read_corpus(args.corpus)
-    predictions = parse_predictions(Path(args.predictions).read_text(encoding="utf-8"))
+    predictions = parse_predictions(read_utf8(args.predictions, ValueError))
     report = evaluate(predictions, corpora)
     sys.stdout.write(report.render())
     return 0

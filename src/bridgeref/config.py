@@ -29,6 +29,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
+from ._files import read_utf8
 from ._frozen import reduce_by_fields
 from .salience import WeightRow, parse_weight_row
 
@@ -87,6 +88,9 @@ _INT_KEYS = tuple(f.name for f in fields(ResolverConfig) if type(f.default) is i
 
 
 def _check_similarity_table(table: Mapping[int, int]) -> None:
+    for level in table:
+        if type(level) is not int:
+            raise ConfigError(f"similarity level must be an integer, got {level!r}")
     levels = sorted(table)
     if levels != list(range(len(levels))) or not levels:
         raise ConfigError(
@@ -109,7 +113,7 @@ def load_config(path: Path | str) -> ResolverConfig:
     values: dict[str, object] = {}
     weight_rows = []
 
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith(("%", "#")):
             continue

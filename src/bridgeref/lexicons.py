@@ -22,6 +22,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
+from ._files import read_utf8
 from ._frozen import reduce_by_fields
 from .corpus import Phrase
 
@@ -38,7 +39,7 @@ class LexiconFormatError(ValueError):
 
 def _read(path: Path | str, parse_line: Callable[[int, str], None]) -> None:
     """Hand each data line and its number to ``parse_line``; name file and line on error."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path, LexiconFormatError).splitlines(), 1):
         line = raw.strip()
         if line and not line.startswith("%"):
             try:

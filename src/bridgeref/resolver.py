@@ -29,8 +29,10 @@ anaphor.  What depends only on the lexicons and the config (target modes,
 salience classes and similarity scores) is cached for as long as the same
 ``LexiconSet`` and ``ResolverConfig`` objects are passed, so a run over many
 documents computes each of them once.  Both objects are immutable, which
-makes the cache sound; it is keyed by lemmas, particles and case slots and
-never holds a phrase or a document.
+makes the cache sound.  It is keyed by lemmas, particles, case slots and
+score components, and never holds a phrase or a document; each distinct
+``ScoreBreakdown`` of a run is built once and shared by every proposal with
+those components.
 """
 from __future__ import annotations
 
@@ -70,7 +72,11 @@ _SLOT_PARTICLES = {**{case: case for case in SURFACE_CASES}, "niwa": "ni"}
 
 @dataclass(frozen=True, slots=True)
 class ScoreBreakdown:
-    """Score components of one salience or subject proposal."""
+    """Score components of one salience or subject proposal.
+
+    The resolver shares one instance between all proposals of a run whose
+    components are equal, which is sound because instances are immutable.
+    """
     definiteness: int
     similarity: int
     weight: Optional[int] = None      # topic/focus weight, salience path only
@@ -84,6 +90,26 @@ class Proposal:
     points: int
     rule: str                          # "R1".."R6"
     breakdown: Optional[ScoreBreakdown] = None
+
+
+# The slot descriptors of Proposal.  ``_proposal`` sets them directly,
+# skipping the frozen ``__init__``'s one ``object.__setattr__`` per field.
+_new_object = object.__new__
+_set_candidate = Proposal.candidate.__set__
+_set_points = Proposal.points.__set__
+_set_rule = Proposal.rule.__set__
+_set_breakdown = Proposal.breakdown.__set__
+
+
+def _proposal(candidate: Candidate, points: int, rule: str,
+              breakdown: ScoreBreakdown) -> Proposal:
+    """``Proposal(candidate, points, rule, breakdown)``, built faster for R4/R5."""
+    proposal = _new_object(Proposal)
+    _set_candidate(proposal, candidate)
+    _set_points(proposal, points)
+    _set_rule(proposal, rule)
+    _set_breakdown(proposal, breakdown)
+    return proposal
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,12 +192,22 @@ def detect_targets(d: Discourse, lex: LexiconSet) -> list[Target]:
 
 
 def _head_chain(anaphor: Phrase, d: Discourse) -> Iterator[Phrase]:
-    """The phrases the anaphor transitively attaches to, nearest first."""
+    """The phrases the anaphor transitively attaches to, nearest first.
+
+    A chain still short of a root after as many steps as the sentence has
+    phrases loops or leaves the sentence, which only a document built in
+    code and never validated can do; it raises ``ValueError``.
+    """
+    sentence = d.sentence_of(anaphor.id)
     head = anaphor.head_id
-    while head is not None:
+    for _ in range(len(sentence.phrases)):
+        if head is None:
+            return
         phrase = d.phrase(head)
         yield phrase
         head = phrase.head_id
+    raise ValueError(f"document {d.doc_id!r}: phrase {anaphor.id}: head chain never "
+                     f"reaches the root of sentence {sentence.index}")
 
 
 def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
@@ -187,10 +223,18 @@ def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
     ]
 
 
+class _Breakdowns(dict):
+    """Score components -> ``ScoreBreakdown``, built on the first lookup."""
+
+    def __missing__(self, key: tuple) -> ScoreBreakdown:
+        breakdown = self[key] = ScoreBreakdown(*key)
+        return breakdown
+
+
 class _RunCaches:
     """What the resolver derives from one lexicon set and one config alone."""
 
-    __slots__ = ("rows", "targets", "salience", "scores")
+    __slots__ = ("rows", "targets", "salience", "scores", "breakdowns")
 
     def __init__(self, rows: tuple) -> None:
         self.rows = rows                                # salience weight rows
@@ -200,6 +244,10 @@ class _RunCaches:
         self.salience: dict[tuple, Optional[tuple[str, int]]] = {}
         # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
         self.scores: dict[object, dict[tuple, Optional[int]]] = {}
+        # (definiteness, similarity, weight, dist) on the salience path, or
+        # (definiteness, similarity, None, None, base) on the subject path
+        # -> the one ScoreBreakdown with those components
+        self.breakdowns: dict[tuple, ScoreBreakdown] = _Breakdowns()
 
     def target(self, phrase: Phrase, lex: LexiconSet
                ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
@@ -261,8 +309,8 @@ _UNSEEN = object()
 class _Sweep:
     """What one document holds before the phrase being resolved.
 
-    Phrases are added in document order.  Salience classes and scores come
-    from run caches, which last while the same lexicon set and config are
+    Phrases are added in document order.  Salience classes, scores and
+    score breakdowns come from run caches, which last while the same lexicon set and config are
     passed.  The sweep takes their dicts once, when it is built, so a
     sweep never mixes the caches of two configs.
     """
@@ -271,6 +319,7 @@ class _Sweep:
         self.d, self.config, self.rows = d, config, caches.rows
         self.classes = caches.salience
         self.scores = caches.scores
+        self.breakdowns = caches.breakdowns
         # (phrase, kind, weight, index among entries of its kind) of every
         # salience entry but zero pronouns, which only count towards distance.
         self.entries: list[tuple[Phrase, str, int, int]] = []
@@ -375,21 +424,22 @@ class _Sweep:
         sims.extend(score(entry[0]) for entry in self.entries[len(sims):])
         proposals: list[Proposal] = []
         append = proposals.append
+        breakdowns = self.breakdowns
         base = self.config.subject_base
         subject_ids = set()
         for candidate in _subject_path(anaphor, self.d):
             subject_ids.add(candidate.id)
             sim = score(candidate)
             if sim is not None:
-                append(Proposal(candidate.id, base + p_score + sim, rule,
-                                ScoreBreakdown(p_score, sim, None, None, base)))
+                append(_proposal(candidate.id, base + p_score + sim, rule,
+                                 breakdowns[p_score, sim, None, None, base]))
         counts = self.counts
         for (phrase, kind, weight, index), sim in zip(self.entries, sims):
             if sim is None or phrase.id in subject_ids:
                 continue
             dist = counts[kind] - index
-            append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
-                            ScoreBreakdown(p_score, sim, weight, dist)))
+            append(_proposal(phrase.id, weight - dist + p_score + sim, rule,
+                             breakdowns[p_score, sim, weight, dist]))
         return proposals
 
 

@@ -466,6 +466,32 @@ def test_a_repeated_document_id_is_a_data_error(tmp_path, capsys):
     assert captured.out == "" and f"{twice}: document id 'rate'" in captured.err
 
 
+@pytest.mark.parametrize("name, code", [
+    ("lexicons/thesaurus.tsv", 1), ("lexicons/caseframes.txt", 1),
+    ("lexicons/xnoy.tsv", 1), ("lexicons/nounattrs.tsv", 1),
+    ("demo.adc", 1), ("preds.tsv", 1), ("run.cfg", 2),
+])
+def test_a_file_that_is_not_utf8_is_named(name, code, tmp_path, capsys):
+    shutil.copytree(LEXICON_DIR, tmp_path / "lexicons")
+    shutil.copy(CORPUS, tmp_path / "demo.adc")
+    _demo_predictions(tmp_path)
+    (tmp_path / "run.cfg").write_text("sim.4=8\n", encoding="utf-8")
+    bad = tmp_path / name
+    with bad.open("ab") as f:
+        f.write(b"\xff")
+    capsys.readouterr()
+    if name == "preds.tsv":
+        argv = ["eval", "--corpus", str(tmp_path / "demo.adc"), "--predictions", str(bad)]
+    else:
+        argv = ["resolve", "--corpus", str(tmp_path / "demo.adc"),
+                "--lexicons", str(tmp_path / "lexicons"), "--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "configuration error: " if code == 2 else "error: "
+    assert captured.err.startswith(f"{prefix}{bad}: not valid UTF-8: ")
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("\tkyoutyou\tnoun\t", "\tkyoutyou\tnoun\t\t", "line 9: "),
     ("\tkyoutyou\tnoun\tcommon\two\t3\t", "\tkyoutyou\tnoun\tcommon\two\t99\t",

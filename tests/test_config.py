@@ -167,6 +167,8 @@ def test_weight_row_with_a_bad_suffix_names_file_and_line(tmp_path):
     ({"similarity_table": {0: -30, 1: "5"}}, "sim.1 must be an integer, got '5'"),
     ({"semantics": "off"}, "semantics must be a bool, got 'off'"),
     ({"semantics": 0}, "semantics must be a bool, got 0"),
+    ({"similarity_table": {0: -30, "1": 5}}, "similarity level must be an integer, got '1'"),
+    ({"similarity_table": {0: -30, True: 5}}, "similarity level must be an integer, got True"),
 ])
 def test_config_value_types_are_checked(fields, message):
     with pytest.raises(ConfigError, match=message):

@@ -1,5 +1,12 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from bridgeref.config import ResolverConfig
 from bridgeref.corpus import Discourse, Sentence
 from bridgeref.lexicons import (
     CaseFrameDict,
@@ -12,10 +19,15 @@ from bridgeref.lexicons import (
 )
 from bridgeref.resolver import (
     NOMINAL,
+    PSEUDO_INDEFINITE,
     RELATIONAL,
     SKIP,
     VERBAL,
+    Proposal,
+    ScoreBreakdown,
     Target,
+    _proposal,
+    _run_caches,
     detect_targets,
     propose_no_antecedent,
     referential_property,
@@ -346,3 +358,69 @@ def test_score_arithmetic_of_every_weighted_proposal(corpora, lexicons):
                 else:
                     assert proposal.points == (
                         b.weight - b.dist + b.definiteness + b.similarity)
+
+
+def test_equal_breakdowns_within_a_run_are_one_object(corpora, lexicons):
+    config = ResolverConfig()          # a config of its own starts new run caches
+    first_seen = {}                    # components -> (breakdown, result index)
+    shared_across_results = 0
+    results = [r for doc in corpora.values() for r in resolve_discourse(doc, lexicons, config)]
+    for index, result in enumerate(results):
+        for proposal in result.proposals:
+            if proposal.breakdown is None:
+                continue
+            breakdown, first = first_seen.setdefault(
+                dataclasses.astuple(proposal.breakdown), (proposal.breakdown, index))
+            assert proposal.breakdown is breakdown
+            shared_across_results += first != index
+    assert shared_across_results > 0
+
+
+def test_run_caches_map_score_components_to_their_breakdown(corpora, lexicons):
+    config = ResolverConfig()
+    for doc in corpora.values():
+        resolve_discourse(doc, lexicons, config)
+    breakdowns = _run_caches(lexicons, config).breakdowns
+    assert breakdowns
+    for key, breakdown in breakdowns.items():
+        assert type(key) is tuple and len(key) in (4, 5)
+        assert all(type(part) is int or part is None for part in key)
+        assert type(breakdown) is ScoreBreakdown and breakdown == ScoreBreakdown(*key)
+
+
+def test_fast_proposal_equals_the_public_constructor():
+    for candidate, breakdown in [(3, ScoreBreakdown(-5, 7, 15, 2)),
+                                 (PSEUDO_INDEFINITE, ScoreBreakdown(0, -30, None, None, 23))]:
+        fast = _proposal(candidate, 15, "R4", breakdown)
+        public = Proposal(candidate, 15, "R4", breakdown)
+        assert type(fast) is Proposal
+        assert fast == public and repr(fast) == repr(public) and hash(fast) == hash(public)
+
+
+HEAD_CYCLE = """
+import dataclasses
+from bridgeref import load_lexicons, parse_corpus, resolve_discourse
+from bridgeref.corpus import Discourse, Sentence
+from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
+rate = next(d for d in parse_corpus(DEMO_CORPUS.read_text(encoding="utf-8"))
+            if d.doc_id == "rate")
+first, second = rate.sentences
+# The root of sentence 1 (phrase 9) now hangs from its child, phrase 8.
+looped = Sentence(index=1, phrases=tuple(
+    dataclasses.replace(p, head_id=8) if p.id == 9 else p for p in second.phrases))
+try:
+    resolve_discourse(Discourse("rate", (first, looped)), load_lexicons(LEXICON_DIR))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_a_head_cycle_built_in_code_is_an_error_not_an_endless_walk():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", HEAD_CYCLE], env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (
+        "document 'rate': phrase 8: head chain never reaches the root of sentence 1\n")
