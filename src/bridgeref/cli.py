@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from ._files import read_utf8
 from .config import ConfigError, ResolverConfig, load_config
-from .corpus import CorpusFormatError, CorpusStructureError, parse_corpus
+from .corpus import CorpusStructureError, Discourse, parse_corpus
 from .dictbuild import build_dictionary
 from .evaluate import (
     evaluate,
@@ -28,51 +29,35 @@ DATA_ERROR = 1
 CONFIG_ERROR = 2
 
 
-def _read_corpus(path: str):
-    text = read_utf8(path, CorpusFormatError)
+def _parse_file(path: str, parse: Callable[[str], object]):
+    """``parse`` of a data file's text, with the path put in front of its errors."""
+    text = read_utf8(path, ValueError)
     try:
-        documents = parse_corpus(text)
-    except (CorpusFormatError, CorpusStructureError) as exc:
+        return parse(text)
+    except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    corpora = {}
-    for d in documents:
-        if d.doc_id in corpora:
-            raise CorpusStructureError(f"{path}: document id {d.doc_id!r} is repeated")
-        corpora[d.doc_id] = d
-    return corpora
 
 
-def _load_run_config(args) -> ResolverConfig:
-    config = load_config(args.config) if args.config else ResolverConfig.default()
-    if args.no_semantics:
-        config = config.without_semantics()
-    return config
+def _corpora(text: str) -> dict[str, Discourse]:
+    """The documents of a corpus by id; a repeated id is a data error."""
+    documents = {}
+    for d in parse_corpus(text):
+        if d.doc_id in documents:
+            raise CorpusStructureError(f"document id {d.doc_id!r} is repeated")
+        documents[d.doc_id] = d
+    return documents
 
 
 def _load_resolver_inputs(args):
-    """Corpus, lexicons and config, with every code checked against the table.
+    """Corpus, lexicons and config.
 
     The config is read first, so a configuration error stops the run before
-    any data file is read.  Thesaurus codes and case-frame constraints deeper
-    than the similarity table would fail only once a candidate reaches that
-    depth, so they are rejected here, before anything is resolved or written.
+    any data file is read.
     """
-    config = _load_run_config(args)
-    corpora = _read_corpus(args.corpus)
-    lexicons = load_lexicons(args.lexicons)
-    deepest = max(config.similarity_table)
-    codes = [("thesaurus.tsv", f"lemma {lemma!r}", code)
-             for lemma, lemma_codes in lexicons.thesaurus.codes.items()
-             for code in lemma_codes]
-    codes += [("caseframes.txt", f"verb {verb!r}", code)
-              for verb, frame in lexicons.case_frames.frames.items()
-              for slot in frame.slots for code in slot.constraints]
-    for name, owner, code in codes:
-        if len(code) > deepest:
-            raise ConfigError(
-                f"{Path(args.lexicons) / name}: {owner} has code {code}, deeper "
-                f"than the similarity table (levels 0..{deepest})")
-    return corpora, lexicons, config
+    config = load_config(args.config) if args.config else ResolverConfig.default()
+    if args.no_semantics:
+        config = config.without_semantics()
+    return _parse_file(args.corpus, _corpora), load_lexicons(args.lexicons), config
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -117,9 +102,9 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    corpora = _read_corpus(args.corpus)
-    predictions = parse_predictions(read_utf8(args.predictions, ValueError))
-    report = evaluate(predictions, corpora)
+    corpora = _parse_file(args.corpus, _corpora)
+    report = _parse_file(args.predictions,
+                         lambda text: evaluate(parse_predictions(text), corpora))
     sys.stdout.write(report.render())
     return 0
 

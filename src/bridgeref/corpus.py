@@ -7,6 +7,10 @@ An ADC file is UTF-8 and line oriented:
     % ...             comment, ignored
     <phrase record>   one phrase per line inside a sentence
 
+A directive is its first whitespace-separated token, matched exactly: any
+other line opening with ``#``, such as ``#DOCUMENT x``, is an unknown
+directive.
+
 A phrase record has 11 tab-separated fields:
 
     id  surface  lemma  pos  subtype  particles  head  clause_role  sem_codes  refprop  gold
@@ -285,14 +289,15 @@ def parse_corpus(text: str) -> list[Discourse]:
             continue
         if not line.strip() or line.startswith("%"):
             continue
-        if line.startswith("#DOC"):
+        directive = line.split(None, 1)[0] if line.startswith("#") else None
+        if directive == "#DOC":
             close_document()
             parts = line.split(None, 1)
             if len(parts) != 2 or not parts[1].strip():
                 raise CorpusFormatError(f"line {lineno}: #DOC needs a document id")
             doc_id = parts[1].strip()
             continue
-        if line.startswith("#SENT"):
+        if directive == "#SENT":
             if doc_id is None:
                 raise CorpusFormatError(f"line {lineno}: #SENT before any #DOC")
             close_sentence()
@@ -310,6 +315,8 @@ def parse_corpus(text: str) -> list[Discourse]:
                     f"expected {len(sentences)}")
             current = []
             continue
+        if directive is not None:
+            raise CorpusFormatError(f"line {lineno}: unknown directive {directive!r}")
         if doc_id is None or current is None:
             raise CorpusFormatError(
                 f"line {lineno}: phrase record outside of a #DOC/#SENT block")

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
-from .config import ResolverConfig
+from .config import ConfigError, ResolverConfig
 from .corpus import Discourse, Phrase
 from .lexicons import (
     SURFACE_CASES,
@@ -258,6 +258,26 @@ class _RunCaches:
         return found
 
 
+def _check_depths(lex: LexiconSet, config: ResolverConfig) -> None:
+    """Reject a lexicon code longer than the similarity table's top level.
+
+    A literal example scores at ``max_depth``, so that must fit as well; the
+    thesaurus is scanned only to name the lemma of a deeper code.
+    """
+    top = max(config.similarity_table)
+    faults = []
+    if lex.thesaurus.max_depth > top:
+        faults = [f"thesaurus.tsv: lemma {lemma!r} has code {code}"
+                  for lemma, codes in lex.thesaurus.codes.items()
+                  for code in codes if len(code) > top]
+        faults.append(f"thesaurus max_depth {lex.thesaurus.max_depth}")
+    faults += [f"caseframes.txt: verb {verb!r} has code {code}"
+               for verb, frame in lex.case_frames.frames.items()
+               for slot in frame.slots for code in slot.constraints if len(code) > top]
+    if faults:
+        raise ConfigError(f"{faults[0]}, deeper than the similarity table (levels 0..{top})")
+
+
 # (lex, config, caches) of the last pair passed.  The strong references keep
 # the two objects, and so their ids, alive while the caches are held.
 _run: tuple = (None, None, None)
@@ -268,6 +288,7 @@ def _run_caches(lex: LexiconSet, config: ResolverConfig) -> _RunCaches:
     global _run
     held_lex, held_config, caches = _run
     if held_lex is not lex or held_config is not config:
+        _check_depths(lex, config)
         caches = _RunCaches(default_rows() + config.extra_weight_rows)
         _run = (lex, config, caches)
     return caches

@@ -466,6 +466,18 @@ def test_a_repeated_document_id_is_a_data_error(tmp_path, capsys):
     assert captured.out == "" and f"{twice}: document id 'rate'" in captured.err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("rate\t8\n", "predictions line 1: expected 5 fields"),
+    ("x\t8\t-\t7\t25\n", "predictions name unknown document 'x'"),
+])
+def test_eval_names_the_predictions_file(text, message, tmp_path, capsys):
+    predictions = tmp_path / "preds.tsv"
+    predictions.write_text(text, encoding="utf-8")
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(predictions)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {predictions}: {message}\n"
+
+
 @pytest.mark.parametrize("name, code", [
     ("lexicons/thesaurus.tsv", 1), ("lexicons/caseframes.txt", 1),
     ("lexicons/xnoy.tsv", 1), ("lexicons/nounattrs.tsv", 1),

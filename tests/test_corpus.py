@@ -188,6 +188,21 @@ def test_multi_document_parse_keeps_order():
     assert [d.doc_id for d in docs] == ["a", "b"]
 
 
+_RECORD = "1\tx.\tx\tnoun\tcommon\tga\t-\t-\t-\t-\t-"
+
+
+@pytest.mark.parametrize("text, lineno, directive", [
+    (f"#DOCUMENT x\n#SENT 0\n{_RECORD}\n", 1, "#DOCUMENT"),
+    (f"#DOC x\n#SENTENCE 0\n{_RECORD}\n", 2, "#SENTENCE"),
+    (f"#DOC x\n#SENT 0\n{_RECORD}\n#DOCx\n", 4, "#DOCx"),
+], ids=["document", "sentence", "inside-a-sentence"])
+def test_directives_are_matched_exactly(text, lineno, directive):
+    with pytest.raises(CorpusFormatError) as excinfo:
+        parse_corpus(text)
+    assert str(excinfo.value) == f"line {lineno}: unknown directive {directive!r}"
+    assert [d.doc_id for d in parse_corpus("#DOC\tx\n#SENT\t0\n")] == ["x"]
+
+
 def test_record_outside_sentence_block():
     with pytest.raises(CorpusFormatError, match="outside"):
         parse_corpus("1\tx\tx\tnoun\tcommon\tga\t-\t-\t-\t-\t-\n")

@@ -1,13 +1,15 @@
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from bridgeref.config import ResolverConfig
+from bridgeref.config import ConfigError, ResolverConfig
 from bridgeref.corpus import Discourse, Sentence
+from bridgeref.data import LEXICON_DIR
 from bridgeref.lexicons import (
     CaseFrameDict,
     CaseSlot,
@@ -16,6 +18,7 @@ from bridgeref.lexicons import (
     Thesaurus,
     VerbCaseFrame,
     XnoYStore,
+    load_lexicons,
 )
 from bridgeref.resolver import (
     NOMINAL,
@@ -424,3 +427,48 @@ def test_a_head_cycle_built_in_code_is_an_error_not_an_endless_walk():
     assert run.returncode == 0, run.stderr
     assert run.stdout == (
         "document 'rate': phrase 8: head chain never reaches the root of sentence 1\n")
+
+
+# --- lexicon depth against the similarity table -------------------------------
+
+def test_a_thesaurus_code_deeper_than_the_table_fails_before_any_result(
+        corpora, config, tmp_path):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    with (lex / "thesaurus.tsv").open("a", encoding="utf-8") as f:
+        f.write("\nie\t1712345\n")
+    deep = load_lexicons(lex)
+    results = []
+    with pytest.raises(ConfigError) as excinfo:
+        for discourse in corpora.values():
+            results.append(resolve_discourse(discourse, deep, config))
+    assert results == []
+    assert str(excinfo.value) == ("thesaurus.tsv: lemma 'ie' has code 1712345, deeper "
+                                  "than the similarity table (levels 0..5)")
+
+
+def test_a_case_frame_constraint_deeper_than_the_table_fails_without_semantics(
+        corpora, lexicons, config):
+    frames = {**lexicons.case_frames.frames,
+              "fukaku": VerbCaseFrame("fukaku", (CaseSlot("ga", ("1234567",), ()),))}
+    deep = dataclasses.replace(lexicons, case_frames=CaseFrameDict(
+        frames=frames, verbal_nouns=lexicons.case_frames.verbal_nouns))
+    rate = corpora["rate"]
+    with pytest.raises(ConfigError, match="^caseframes.txt: verb 'fukaku' has code 1234567, "
+                                          "deeper than the similarity table"):
+        resolve(rate.phrase(8), None, rate, deep, config.without_semantics())
+
+
+def test_a_thesaurus_max_depth_deeper_than_the_table_is_rejected(corpora):
+    with pytest.raises(ConfigError, match="^thesaurus max_depth 7, deeper than"):
+        resolve_discourse(corpora["rate"], _lex(thesaurus=Thesaurus(codes={}, max_depth=7)))
+
+
+def test_a_rejected_pair_leaves_the_held_caches_to_the_sound_pair(corpora, lexicons, config):
+    rate = corpora["rate"]
+    before = resolve_discourse(rate, lexicons, config)
+    held = _run_caches(lexicons, config)
+    with pytest.raises(ConfigError):
+        resolve_discourse(rate, _lex(thesaurus=Thesaurus(codes={}, max_depth=7)), config)
+    assert _run_caches(lexicons, config) is held
+    assert resolve_discourse(rate, lexicons, config) == before
