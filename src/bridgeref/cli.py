@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable
 
@@ -23,7 +24,7 @@ from .evaluate import (
 )
 from .explain import render_score_table
 from .lexicons import load_lexicons, load_noun_attributes, load_thesaurus, load_xnoy
-from .resolver import resolve_discourse
+from .resolver import _resolve_stream
 
 DATA_ERROR = 1
 CONFIG_ERROR = 2
@@ -68,10 +69,15 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_resolve(args) -> int:
+    """Write every target's prediction, once the whole corpus is resolved.
+
+    Each result is dropped once its prediction is built, and a failure
+    leaves no partial output.
+    """
     corpora, lexicons, config = _load_resolver_inputs(args)
     predictions = []
     for doc_id, discourse in corpora.items():
-        results = resolve_discourse(discourse, lexicons, config)
+        results = _resolve_stream(discourse, lexicons, config)
         predictions.extend(predictions_from_results(doc_id, results))
     _write_out(serialize_predictions(predictions), args.out)
     return 0
@@ -91,8 +97,11 @@ def _cmd_explain(args) -> int:
         raise CorpusStructureError(f"no document {doc_id!r} in {args.corpus}")
     if not discourse.has_phrase(phrase_id):
         raise CorpusStructureError(f"no phrase {phrase_id} in document {doc_id!r}")
+    # Results come in document order, so the stream is read no further than
+    # the first result past the phrase.
+    results = _resolve_stream(discourse, lexicons, config)
     tables = [render_score_table(result, discourse)
-              for result in resolve_discourse(discourse, lexicons, config)
+              for result in takewhile(lambda r: r.anaphor_id <= phrase_id, results)
               if result.anaphor_id == phrase_id]
     if not tables:
         raise CorpusStructureError(

@@ -65,10 +65,15 @@ def _checked_entry(lemma: str, code: str) -> tuple[str, str]:
 @dataclass(frozen=True)
 class Thesaurus:
     codes: Mapping[str, tuple[str, ...]]   # lemma -> one or more category codes
-    max_depth: int
+    max_depth: int                         # no code is longer
 
     def __post_init__(self):
         object.__setattr__(self, "codes", MappingProxyType(dict(self.codes)))
+        for lemma, codes in self.codes.items():
+            for code in codes:
+                if len(code) > self.max_depth:
+                    raise ValueError(f"thesaurus lemma {lemma!r} has code {code}, "
+                                     f"longer than max_depth {self.max_depth}")
 
     __reduce__ = reduce_by_fields
 

@@ -25,8 +25,14 @@ get a second topic/focus proposal.
 
 ``resolve_discourse`` reads a document once, scoring each phrase from a
 record of the text before it; ``resolve`` builds that record for one
-anaphor.  What depends only on the lexicons and the config (target modes,
-salience classes and similarity scores) is cached for as long as the same
+anaphor.  The pass is the generator ``_resolve_stream``, which yields each
+target's result as soon as it is resolved; ``resolve_discourse`` lists it.
+Each anaphor may score every earlier topic and focus, so a document's full
+results grow with the square of its length; the command line reads the
+stream and keeps only what it prints, so its memory grows with the document.
+
+What depends only on the lexicons and the config (target modes, salience
+classes and similarity scores) is cached for as long as the same
 ``LexiconSet`` and ``ResolverConfig`` objects are passed, so a run over many
 documents computes each of them once.  Both objects are immutable, which
 makes the cache sound.  It is keyed by lemmas, particles, case slots and
@@ -261,8 +267,9 @@ class _RunCaches:
 def _check_depths(lex: LexiconSet, config: ResolverConfig) -> None:
     """Reject a lexicon code longer than the similarity table's top level.
 
-    A literal example scores at ``max_depth``, so that must fit as well; the
-    thesaurus is scanned only to name the lemma of a deeper code.
+    A literal example scores at ``max_depth``, so that must fit as well, and
+    no thesaurus code is longer than ``max_depth``; the thesaurus is scanned
+    only to name the lemma of a deeper code.
     """
     top = max(config.similarity_table)
     faults = []
@@ -494,20 +501,24 @@ def resolve(
     return sweep.resolve(anaphor, mode, frame, slot, lex)
 
 
+def _resolve_stream(d: Discourse, lex: LexiconSet,
+                    config: ResolverConfig) -> Iterator[ResolutionResult]:
+    """Each non-skipped target's result, in document order, as soon as it is resolved."""
+    caches = _run_caches(lex, config)
+    sweep = _Sweep(d, config, caches)
+    target = caches.target
+    for phrase in d.phrases():
+        mode, frame, slots = target(phrase, lex)
+        if mode != SKIP:
+            for slot in slots:
+                yield sweep.resolve(phrase, mode, frame, slot, lex)
+        sweep.add(phrase)
+
+
 def resolve_discourse(
     d: Discourse,
     lex: LexiconSet,
     config: Optional[ResolverConfig] = None,
 ) -> list[ResolutionResult]:
     """Resolve every non-skipped target of a document, in document order."""
-    config = config or _DEFAULT_CONFIG
-    caches = _run_caches(lex, config)
-    sweep = _Sweep(d, config, caches)
-    target = caches.target
-    results = []
-    for phrase in d.phrases():
-        mode, frame, slots = target(phrase, lex)
-        if mode != SKIP:
-            results.extend(sweep.resolve(phrase, mode, frame, slot, lex) for slot in slots)
-        sweep.add(phrase)
-    return results
+    return list(_resolve_stream(d, lex, config or _DEFAULT_CONFIG))

@@ -472,3 +472,14 @@ def test_a_rejected_pair_leaves_the_held_caches_to_the_sound_pair(corpora, lexic
         resolve_discourse(rate, _lex(thesaurus=Thesaurus(codes={}, max_depth=7)), config)
     assert _run_caches(lexicons, config) is held
     assert resolve_discourse(rate, lexicons, config) == before
+
+
+def test_a_thesaurus_code_longer_than_its_max_depth_is_rejected(lexicons):
+    codes = {lemma: tuple(code + "00" for code in lemma_codes)
+             for lemma, lemma_codes in lexicons.thesaurus.codes.items()}
+    lemma, [code, *_] = next(iter(codes.items()))
+    with pytest.raises(ValueError, match=f"^thesaurus lemma {lemma!r} has code {code}, "
+                                         "longer than max_depth 5$"):
+        Thesaurus(codes=codes, max_depth=5)
+    assert Thesaurus(codes=codes, max_depth=7) == Thesaurus.from_entries(
+        (lemma, code) for lemma, lemma_codes in codes.items() for code in lemma_codes)
