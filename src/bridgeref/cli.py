@@ -84,7 +84,8 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    doc_id, colon, raw_id = args.anaphor.partition(":")
+    # Document ids may hold colons; phrase ids never do.
+    doc_id, colon, raw_id = args.anaphor.rpartition(":")
     if not colon:
         raise ConfigError("--anaphor takes DOC:ID")
     try:

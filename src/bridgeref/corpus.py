@@ -2,7 +2,7 @@
 
 An ADC file is UTF-8 and line oriented:
 
-    #DOC <id>         starts a document
+    #DOC <id>         starts a document; the id is one token
     #SENT <n>         starts sentence n (0-based, contiguous per document)
     % ...             comment, ignored
     <phrase record>   one phrase per line inside a sentence
@@ -32,6 +32,9 @@ that never reach the sentence root (cycles, head-less sentences),
 non-increasing ids and gold antecedents that do not precede their phrase.
 
 Documents are immutable once parsed; any number of readers may share them.
+Within one ``parse_corpus`` call, equal field values (surface, lemma, part
+of speech, subtype, clause role, referential property) are one shared
+string object, which is sound because strings are immutable.
 """
 from __future__ import annotations
 
@@ -145,8 +148,6 @@ def _split_list(value: str) -> tuple[str, ...]:
 
 
 def _parse_gold(value: str, lineno: int) -> tuple[GoldAntecedent, ...]:
-    if value == "-":
-        return ()
     gold = []
     for item in value.split(","):
         if not item.startswith("rel="):
@@ -171,13 +172,31 @@ def _parse_gold(value: str, lineno: int) -> tuple[GoldAntecedent, ...]:
     return tuple(gold)
 
 
+# The slot descriptors of Phrase.  ``_parse_record`` sets them directly,
+# skipping the frozen ``__init__``'s one ``object.__setattr__`` per field.
+_new_object = object.__new__
+_set_id = Phrase.id.__set__
+_set_surface = Phrase.surface.__set__
+_set_lemma = Phrase.lemma.__set__
+_set_pos = Phrase.pos.__set__
+_set_noun_subtype = Phrase.noun_subtype.__set__
+_set_particles = Phrase.particles.__set__
+_set_punct_after = Phrase.punct_after.__set__
+_set_head_id = Phrase.head_id.__set__
+_set_clause_role = Phrase.clause_role.__set__
+_set_sem_codes = Phrase.sem_codes.__set__
+_set_ref_property = Phrase.ref_property.__set__
+_set_gold_antecedents = Phrase.gold_antecedents.__set__
+
+
 def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str, ...]],
-                  sound: set[tuple]) -> Phrase:
+                  sound: set[tuple], same: Callable[[str, str], str]) -> Phrase:
     """One phrase record.
 
-    ``split_list`` is ``_split_list`` memoised by raw string, and ``sound``
-    holds the shapes of own fields that passed ``_field_faults``; both last
-    one ``parse_corpus`` call.
+    ``split_list`` is ``_split_list`` memoised by raw string, ``sound``
+    holds the shapes of own fields that passed ``_field_faults``, and
+    ``same(value, value)`` returns the first equal string seen; all three
+    last one ``parse_corpus`` call.
     """
     fields = line.split("\t")
     if len(fields) != 11:
@@ -211,20 +230,19 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
         except ValueError:
             raise CorpusFormatError(f"line {lineno}: field 'head': not an integer: {head!r}") from None
 
-    phrase = Phrase(
-        id=phrase_id,
-        surface=surface,
-        lemma=lemma,
-        pos=pos,
-        noun_subtype=None if subtype == "-" else subtype,
-        particles=split_list(particles),
-        punct_after=punct_after,
-        head_id=head_id,
-        clause_role="other" if clause_role == "-" else clause_role,
-        sem_codes=split_list(sem_codes),
-        ref_property="auto" if refprop == "-" else refprop,
-        gold_antecedents=_parse_gold(gold, lineno),
-    )
+    phrase = _new_object(Phrase)
+    _set_id(phrase, phrase_id)
+    _set_surface(phrase, same(surface, surface))
+    _set_lemma(phrase, same(lemma, lemma))
+    _set_pos(phrase, same(pos, pos))
+    _set_noun_subtype(phrase, None if subtype == "-" else same(subtype, subtype))
+    _set_particles(phrase, split_list(particles))
+    _set_punct_after(phrase, punct_after)
+    _set_head_id(phrase, head_id)
+    _set_clause_role(phrase, "other" if clause_role == "-" else same(clause_role, clause_role))
+    _set_sem_codes(phrase, split_list(sem_codes))
+    _set_ref_property(phrase, "auto" if refprop == "-" else same(refprop, refprop))
+    _set_gold_antecedents(phrase, () if gold == "-" else _parse_gold(gold, lineno))
     # Everything _field_faults reads; a shape that faulted is never added.
     shape = pos, subtype, particles, clause_role, refprop, not surface
     if shape not in sound:
@@ -264,6 +282,7 @@ def parse_corpus(text: str) -> list[Discourse]:
     current_index = -1
     split_list = functools.cache(_split_list)
     sound: set[tuple] = set()
+    same = {}.setdefault
 
     def close_sentence():
         nonlocal current
@@ -282,10 +301,17 @@ def parse_corpus(text: str) -> list[Discourse]:
             documents.append(document)
             sentences = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines are popped off the reversed list, so each is freed once read.
+    lines = text.splitlines()
+    lines.reverse()
+    pop = lines.pop
+    lineno = 0
+    while lines:
+        line = pop()
+        lineno += 1
         # A line opening with a digit inside a sentence can only be a record.
         if current is not None and line[:1].isdigit():
-            current.append(_parse_record(line, lineno, split_list, sound))
+            current.append(_parse_record(line, lineno, split_list, sound, same))
             continue
         if not line.strip() or line.startswith("%"):
             continue
@@ -296,6 +322,9 @@ def parse_corpus(text: str) -> list[Discourse]:
             if len(parts) != 2 or not parts[1].strip():
                 raise CorpusFormatError(f"line {lineno}: #DOC needs a document id")
             doc_id = parts[1].strip()
+            if len(doc_id.split()) != 1:
+                raise CorpusFormatError(
+                    f"line {lineno}: #DOC id must be one token, got {doc_id!r}")
             continue
         if directive == "#SENT":
             if doc_id is None:
@@ -320,7 +349,7 @@ def parse_corpus(text: str) -> list[Discourse]:
         if doc_id is None or current is None:
             raise CorpusFormatError(
                 f"line {lineno}: phrase record outside of a #DOC/#SENT block")
-        current.append(_parse_record(line, lineno, split_list, sound))
+        current.append(_parse_record(line, lineno, split_list, sound, same))
 
     close_document()
     return documents

@@ -64,6 +64,19 @@ def test_explain_verbal_noun_prints_one_table_per_slot(capsys):
     assert "[ga slot]" in out and "[wo slot]" in out
 
 
+def test_explain_splits_a_document_id_holding_colons_at_the_last_colon(
+        tmp_path, capsys):
+    corpus = tmp_path / "news.adc"
+    corpus.write_text(DEMO_CORPUS.read_text(encoding="utf-8").replace(
+        "#DOC analysis\n", "#DOC news:analysis\n"), encoding="utf-8")
+    assert main(["explain", "--corpus", CORPUS, "--lexicons", LEX,
+                 "--anaphor", "analysis:9"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["explain", "--corpus", str(corpus), "--lexicons", LEX,
+                 "--anaphor", "news:analysis:9"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_explain_non_target_is_a_data_error(capsys):
     assert main(["explain", "--corpus", CORPUS, "--lexicons", LEX,
                  "--anaphor", "rate:2"]) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -203,6 +204,13 @@ def test_directives_are_matched_exactly(text, lineno, directive):
     assert [d.doc_id for d in parse_corpus("#DOC\tx\n#SENT\t0\n")] == ["x"]
 
 
+@pytest.mark.parametrize("line", ["#DOC rate\tx", "#DOC rate x", "#DOC\trate  x "])
+def test_a_document_id_with_whitespace_inside_is_rejected(line):
+    with pytest.raises(CorpusFormatError) as excinfo:
+        parse_corpus(f"% comment\n{line}\n#SENT 0\n{_RECORD}\n")
+    assert str(excinfo.value).startswith("line 2: #DOC id must be one token")
+
+
 def test_record_outside_sentence_block():
     with pytest.raises(CorpusFormatError, match="outside"):
         parse_corpus("1\tx\tx\tnoun\tcommon\tga\t-\t-\t-\t-\t-\n")
@@ -395,3 +403,32 @@ def test_bad_record_after_good_lines_reads_as_when_alone(field, record):
 def test_serialize_parse_round_trip_on_many_copies_of_the_demo(corpora):
     documents = list(corpora.values()) * 500
     assert parse_corpus(serialize_corpus(documents)) == documents
+
+
+def test_equal_fields_parsed_in_one_call_are_one_shared_string():
+    text = DEMO_CORPUS.read_text(encoding="utf-8")
+    first, second = (text.replace("#DOC ", f"#DOC {copy}.") for copy in "ab")
+    documents = parse_corpus(first + second)
+    half = len(documents) // 2
+    assert [d.doc_id for d in documents[half:]] == [
+        "b" + d.doc_id[1:] for d in documents[:half]]
+    for a, b in zip(documents[:half], documents[half:]):
+        for p, q in zip(a.phrases(), b.phrases()):
+            assert p == q
+            for name in ("lemma", "surface", "pos", "clause_role"):
+                assert getattr(p, name) is getattr(q, name), (a.doc_id, p.id, name)
+
+
+def test_parse_peak_stays_near_what_the_documents_hold():
+    # Lines are freed as they are read, so parsing needs little beyond the
+    # documents it returns.
+    text = DEMO_CORPUS.read_text(encoding="utf-8") * 500
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        documents = parse_corpus(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(documents) == 3000
+    assert peak - held < len(text) / 2, (peak - held, held - before, len(text))
