@@ -139,22 +139,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resolve indirect (bridging) anaphora in annotated Japanese text.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    resolve_p = sub.add_parser("resolve", help="resolve every target in a corpus")
-    resolve_p.add_argument("--corpus", required=True)
-    resolve_p.add_argument("--lexicons", required=True,
-                           help="directory with thesaurus.tsv, caseframes.txt, "
-                                "xnoy.tsv, nounattrs.tsv")
-    resolve_p.add_argument("--config")
-    resolve_p.add_argument("--no-semantics", action="store_true",
-                           help="fix all similarity scores to 0")
+    # The inputs of every command that resolves.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--corpus", required=True)
+    inputs.add_argument("--lexicons", required=True,
+                        help="directory with thesaurus.tsv, caseframes.txt, "
+                             "xnoy.tsv, nounattrs.tsv")
+    inputs.add_argument("--config")
+    inputs.add_argument("--no-semantics", action="store_true",
+                        help="fix all similarity scores to 0")
+
+    resolve_p = sub.add_parser("resolve", parents=[inputs],
+                               help="resolve every target in a corpus")
     resolve_p.add_argument("--out")
     resolve_p.set_defaults(func=_cmd_resolve)
 
-    explain_p = sub.add_parser("explain", help="print the score table of one anaphor")
-    explain_p.add_argument("--corpus", required=True)
-    explain_p.add_argument("--lexicons", required=True)
-    explain_p.add_argument("--config")
-    explain_p.add_argument("--no-semantics", action="store_true")
+    explain_p = sub.add_parser("explain", parents=[inputs],
+                               help="print the score table of one anaphor")
     explain_p.add_argument("--anaphor", required=True, metavar="DOC:ID")
     explain_p.set_defaults(func=_cmd_explain)
 

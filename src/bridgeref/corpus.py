@@ -426,8 +426,6 @@ def _structure_violations(d: Discourse) -> list[str]:
 
     ids = [p.id for sent in d.sentences for p in sent.phrases]
     all_ids = set(ids)
-    if len(all_ids) != len(ids):
-        violations.append("phrase ids are not unique")
     for previous_id, phrase_id in zip(ids, ids[1:]):
         if phrase_id <= previous_id:
             violations.append(

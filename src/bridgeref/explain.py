@@ -3,7 +3,13 @@
 A title line, then a header with one column per candidate (pseudo candidate
 first, then real candidates most recent first); one row per rule that fired,
 detail rows for the weighted paths, and a closing Total Score row.
-``parse_total_row`` reads the Total Score row back through the same labels.
+
+Pseudo candidates are labelled with their names.  A phrase is named by its
+lemma when the lemma is non-empty, holds no ``|`` and has no leading or
+trailing whitespace, and ``phrase<id>`` otherwise.  Its label is that name,
+plus ``#id`` when another phrase of the document or a pseudo candidate has
+the same name, so no two candidates share a label.  ``parse_total_row``
+reads the Total Score row back through the same labels.
 """
 from __future__ import annotations
 
@@ -12,88 +18,54 @@ from collections import Counter
 from .corpus import Discourse
 from .resolver import PSEUDO_GENERIC, PSEUDO_INDEFINITE, ResolutionResult
 
-_RULE_ORDER = ("R1", "R2", "R3", "R4", "R5", "R6")
 TOTAL_ROW = "Total Score"
 
 
-def _column_order(result: ResolutionResult) -> list:
-    pseudo = sorted(c for c in result.all_scores if isinstance(c, str))
-    real = sorted((c for c in result.all_scores if isinstance(c, int)), reverse=True)
-    return pseudo + real
-
-
-def _labels(discourse: Discourse) -> dict:
-    """Column label of every candidate the document can produce.
-
-    Pseudo candidates keep their names.  A phrase is labelled with its
-    lemma, plus ``#id`` when the lemma occurs more than once in the document
-    or is also a pseudo candidate's name, so no two candidates share a label.
-    """
-    labels: dict = {c: c for c in (PSEUDO_INDEFINITE, PSEUDO_GENERIC)}
-    names = {p.id: p.lemma or f"phrase{p.id}" for p in discourse.phrases()}
-    counts = Counter([*labels, *names.values()])
-    labels.update((c, f"{name}#{c}" if counts[name] > 1 else name)
-                  for c, name in names.items())
-    return labels
-
-
-def _cell(value) -> str:
-    return "" if value is None else str(value)
+def _labels(discourse: Discourse, columns=None) -> dict:
+    """Label of each candidate in ``columns``, in their order, or of every
+    candidate of the document when ``columns`` is None, by the rule above."""
+    # A pseudo candidate is its own name, and keeps it as its label.
+    names = {PSEUDO_INDEFINITE: PSEUDO_INDEFINITE, PSEUDO_GENERIC: PSEUDO_GENERIC}
+    names.update({p.id: lemma if (lemma := p.lemma) and "|" not in lemma
+                  and lemma == lemma.strip() else f"phrase{p.id}"
+                  for sentence in discourse.sentences for p in sentence.phrases})
+    counts = Counter(names.values())
+    return {c: name if (name := names[c]) == c or counts[name] == 1 else f"{name}#{c}"
+            for c in (names if columns is None else columns)}
 
 
 def render_score_table(result: ResolutionResult, discourse: Discourse) -> str:
+    rules: dict = {}
+    details = ({}, {}, {}, {}, {})
+    for pr in result.proposals:
+        rules.setdefault(pr.rule, {})[pr.candidate] = pr.points
+        b = pr.breakdown
+        if b is not None:
+            dist = None if b.dist is None else -b.dist
+            for cells, value in zip(details, (b.base, b.weight, dist, b.definiteness,
+                                              b.similarity)):
+                if value is not None:
+                    cells[pr.candidate] = value
+    rows = sorted(rules.items())
+    rows.extend((name, cells) for name, cells in zip(
+        ("  Subject", "  Topic/Focus (W)", "  Distance (D)", "  Definiteness (P)",
+         "  Similarity (S)"), details) if cells)
+    scores = result.all_scores
+    rows.append((TOTAL_ROW, scores))
+
+    columns = (sorted(c for c in scores if isinstance(c, str))
+               + sorted((c for c in scores if isinstance(c, int)), reverse=True))
+    lines = [["", *_labels(discourse, columns).values()]]
+    lines.extend([name, *[str(cells.get(c, "")) for c in columns]] for name, cells in rows)
+    first, *widths = [max(map(len, column)) for column in zip(*lines)]
+    text = [" | ".join([line[0].ljust(first), *map(str.rjust, line[1:], widths)]).rstrip()
+            for line in lines]
+
     anaphor = discourse.phrase(result.anaphor_id)
-    columns = _column_order(result)
-    labels = _labels(discourse)
-    detailed: dict = {}      # candidate -> weighted-path proposal (R4/R5)
-    for proposal in result.proposals:
-        if proposal.breakdown is not None:
-            detailed[proposal.candidate] = proposal
-
-    rows: list[tuple[str, dict]] = []
-    for rule in _RULE_ORDER:
-        cells = {
-            pr.candidate: pr.points
-            for pr in result.proposals if pr.rule == rule
-        }
-        if cells:
-            rows.append((rule, cells))
-
-    def breakdown_row(name, getter):
-        cells = {}
-        for candidate, proposal in detailed.items():
-            value = getter(proposal)
-            if value is not None:
-                cells[candidate] = value
-        if cells:
-            rows.append((name, cells))
-
-    if detailed:
-        breakdown_row("  Subject", lambda pr: pr.breakdown.base)
-        breakdown_row("  Topic/Focus (W)", lambda pr: pr.breakdown.weight)
-        breakdown_row("  Distance (D)",
-                      lambda pr: None if pr.breakdown.dist is None
-                      else -pr.breakdown.dist)
-        breakdown_row("  Definiteness (P)", lambda pr: pr.breakdown.definiteness)
-        breakdown_row("  Similarity (S)", lambda pr: pr.breakdown.similarity)
-    rows.append((TOTAL_ROW, dict(result.all_scores)))
-
-    header = [""] + [labels[c] for c in columns]
-    body = [[name] + [_cell(cells.get(c)) for c in columns] for name, cells in rows]
-    widths = [max(len(line[i]) for line in [header] + body)
-              for i in range(len(header))]
-
-    def fmt(line):
-        return " | ".join(cell.rjust(widths[i]) if i else cell.ljust(widths[i])
-                          for i, cell in enumerate(line)).rstrip()
-
     title = f"anaphor: {anaphor.lemma or anaphor.surface or anaphor.id}"
     if result.slot:
         title += f"  [{result.slot} slot]"
-    lines = [title, fmt(header)]
-    lines.append("-" * len(fmt(header)))
-    lines.extend(fmt(line) for line in body)
-    return "\n".join(lines) + "\n"
+    return "\n".join([title, text[0], "-" * len(text[0]), *text[1:]]) + "\n"
 
 
 def parse_total_row(table: str, discourse: Discourse) -> dict:

@@ -228,6 +228,18 @@ def test_validate_flags_duplicate_ids():
     assert any("strictly increase" in v or "not unique" in v for v in violations)
 
 
+def test_a_repeated_phrase_id_is_reported_with_the_phrase_it_names():
+    with pytest.raises(CorpusStructureError) as excinfo:
+        parse_corpus("#DOC t\n#SENT 0\n"
+                     "1\tie\tie\tnoun\tcommon\tga\t2\t-\t-\t-\t-\n"
+                     "2\tmita.\tmiru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+                     "#SENT 1\n"
+                     "2\tyane\tyane\tnoun\tcommon\two\t3\t-\t-\t-\t-\n"
+                     "3\tmita.\tmiru\tverb\t-\t-\t-\t-\t-\t-\t-\n")
+    assert str(excinfo.value) == (
+        "document 't': phrase 2: ids must strictly increase in document order")
+
+
 CYCLE_DOC = (
     "#DOC loop\n#SENT 0\n"
     "1\tneko\tneko\tnoun\tcommon\tga\t2\t-\t-\t-\t-\n"

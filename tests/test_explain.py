@@ -1,8 +1,27 @@
+from pathlib import Path
+
+import pytest
+
+from bridgeref.cli import main
 from bridgeref.config import ResolverConfig
-from bridgeref.corpus import parse_discourse
+from bridgeref.corpus import parse_corpus, parse_discourse
+from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
 from bridgeref.explain import parse_total_row, render_score_table
 from bridgeref.resolver import resolve, resolve_discourse
 from randgen import random_case
+
+GOLDEN = Path(__file__).parent / "golden" / "explain"
+DEMO_TARGETS = ("rate:8", "analysis:9", "cars:5", "house:9", "roof:4", "rain:1")
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-semantics"]])
+@pytest.mark.parametrize("anaphor", DEMO_TARGETS)
+def test_explain_prints_the_golden_tables(anaphor, flags, capsys):
+    suffix = ".no-semantics.txt" if flags else ".txt"
+    golden = GOLDEN / (anaphor.replace(":", "_") + suffix)
+    assert main(["explain", "--corpus", str(DEMO_CORPUS), "--lexicons", str(LEXICON_DIR),
+                 "--anaphor", anaphor, *flags]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_official_rate_table(corpora, lexicons):
@@ -124,3 +143,21 @@ def test_lemma_named_like_a_pseudo_candidate_gets_its_id(lexicons):
     table = render_score_table(result, doc)
     assert "INDEFINITE#1" in table.splitlines()[1]
     assert parse_total_row(table, doc) == result.all_scores == {"INDEFINITE": 10, 1: -16}
+
+
+@pytest.mark.parametrize("lemma", ["i|e", " ie", "ie "])
+def test_a_lemma_that_cannot_be_a_label_reads_back_by_phrase_id(lemma, lexicons):
+    # The header splits at "|" and strips each cell, so such a lemma is
+    # labelled phrase<id>.
+    lines = []
+    for line in DEMO_CORPUS.read_text(encoding="utf-8").splitlines():
+        fields = line.split("\t")
+        if len(fields) == 11 and fields[2] == "ie":
+            fields[2] = lemma
+        lines.append("\t".join(fields))
+    documents = parse_corpus("\n".join(lines) + "\n")
+    assert sum(p.lemma == lemma for d in documents for p in d.phrases()) == 3
+    for doc in documents:
+        for result in resolve_discourse(doc, lexicons):
+            table = render_score_table(result, doc)
+            assert parse_total_row(table, doc) == result.all_scores, table

@@ -1,6 +1,7 @@
 import pytest
 
 from bridgeref.salience import (
+    DEFAULT_FOCUS_ROWS,
     classify_salience,
     default_rows,
     distance,
@@ -48,6 +49,14 @@ def test_wa_marked_noun_is_never_a_focus():
     for extra in ((), ("wo",), ("he",), ("ga",)):
         phrase = make_phrase(1, lemma="x", particles=("wa",) + extra)
         assert classify_salience(phrase) == ("topic", 20)
+
+
+def test_focus_rows_skip_a_wa_marked_noun_even_when_no_topic_row_is_given():
+    # With the default rows a topic row always matches a wa-marked noun
+    # first, so only focus rows on their own reach the wa exclusion.
+    phrase = make_phrase(1, lemma="x", particles=("wa", "ga"))
+    assert classify_salience(phrase, DEFAULT_FOCUS_ROWS) is None
+    assert classify_salience(phrase, [parse_weight_row("focus", "noun:wa", 9)]) is None
 
 
 def test_non_noun_is_never_salient():
