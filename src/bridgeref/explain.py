@@ -5,11 +5,12 @@ first, then real candidates most recent first); one row per rule that fired,
 detail rows for the weighted paths, and a closing Total Score row.
 
 Pseudo candidates are labelled with their names.  A phrase is named by its
-lemma when the lemma is non-empty, holds no ``|`` and has no leading or
-trailing whitespace, and ``phrase<id>`` otherwise.  Its label is that name,
-plus ``#id`` when another phrase of the document or a pseudo candidate has
-the same name, so no two candidates share a label.  ``parse_total_row``
-reads the Total Score row back through the same labels.
+lemma when the lemma is non-empty, holds neither ``|`` nor ``#`` and has no
+leading or trailing whitespace, and ``phrase<id>`` otherwise.  Its label is
+that name, plus ``#id`` when another phrase of the document or a pseudo
+candidate has the same name; no name holds ``#``, so no two candidates share
+a label.  ``parse_total_row`` reads the Total Score row back through the
+same labels.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def _labels(discourse: Discourse, columns=None) -> dict:
     # A pseudo candidate is its own name, and keeps it as its label.
     names = {PSEUDO_INDEFINITE: PSEUDO_INDEFINITE, PSEUDO_GENERIC: PSEUDO_GENERIC}
     names.update({p.id: lemma if (lemma := p.lemma) and "|" not in lemma
-                  and lemma == lemma.strip() else f"phrase{p.id}"
+                  and "#" not in lemma and lemma == lemma.strip() else f"phrase{p.id}"
                   for sentence in discourse.sentences for p in sentence.phrases})
     counts = Counter(names.values())
     return {c: name if (name := names[c]) == c or counts[name] == 1 else f"{name}#{c}"

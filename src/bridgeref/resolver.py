@@ -30,6 +30,10 @@ target's result as soon as it is resolved; ``resolve_discourse`` lists it.
 Each anaphor may score every earlier topic and focus, so a document's full
 results grow with the square of its length; the command line reads the
 stream and keeps only what it prints, so its memory grows with the document.
+A candidate's points go straight into its target's totals.  The R4/R5
+``Proposal`` objects behind them are built only when a result's
+``proposals`` are first read, as ``bridgeref explain`` does and
+``bridgeref resolve`` never does.
 
 What depends only on the lexicons and the config (target modes, salience
 classes and similarity scores) is cached for as long as the same
@@ -42,7 +46,9 @@ those components.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Optional, Union
 
 from .config import ConfigError, ResolverConfig
@@ -127,6 +133,14 @@ class Target:
 
 @dataclass(frozen=True, slots=True)
 class ResolutionResult:
+    """The outcome of one target: every candidate's total, the winner, and
+    the proposals those totals add up.
+
+    The R4/R5 proposals of a result are built the first time ``proposals``
+    is read, under a lock, and kept: reads from any thread see one tuple
+    that never changes, and ``repr``, equality, copying and pickling see it
+    as an ordinary field.
+    """
     anaphor_id: int
     slot: Optional[str]
     winner: Optional[Candidate]        # None when no rule proposed anything
@@ -134,6 +148,94 @@ class ResolutionResult:
     all_scores: dict[Candidate, int]
     proposals: tuple[Proposal, ...]
     direct: bool                       # winner carried a repeated-mention proposal
+
+
+class _WeightedProposals:
+    """A result's proposals, as held until they are first read.
+
+    ``eager`` holds the proposals of R1-R3; the R4/R5 ones come from the
+    target's subject path, as (phrase id, similarity) pairs, and from the
+    first ``count`` salience entries of its sweep with their similarities.
+    Both sweep lists only grow, so those items stay as they were when the
+    target was resolved; ``counts`` is the count per kind of that moment.
+    Nothing here refers to the sweep or the document.
+    """
+
+    __slots__ = ("eager", "rule", "p_score", "base", "subjects", "count", "counts",
+                 "entries", "sims", "breakdowns")
+
+    def __init__(self, eager: tuple[Proposal, ...], rule: str, p_score: int, base: int,
+                 subjects: list[tuple[int, Optional[int]]],
+                 entries: list[tuple[Phrase, str, int, int]], counts: dict[str, int],
+                 sims: list[Optional[int]], breakdowns: dict[tuple, ScoreBreakdown]):
+        self.eager, self.rule, self.p_score, self.base = eager, rule, p_score, base
+        self.subjects, self.count, self.counts = subjects, len(entries), counts
+        self.entries, self.sims, self.breakdowns = entries, sims, breakdowns
+
+    def add_points(self, totals: dict[Candidate, int]) -> None:
+        """Add each weighted candidate's points to ``totals``, in proposal order."""
+        p_score, counts = self.p_score, self.counts
+        subject_ids = set()
+        for candidate, sim in self.subjects:
+            subject_ids.add(candidate)
+            if sim is not None:
+                totals[candidate] = totals.get(candidate, 0) + self.base + p_score + sim
+        get = totals.get
+        for (phrase, kind, weight, index), sim in zip(self.entries, self.sims):
+            if sim is None or (candidate := phrase.id) in subject_ids:
+                continue
+            dist = counts[kind] - index
+            totals[candidate] = get(candidate, 0) + weight - dist + p_score + sim
+
+    def build(self) -> tuple[Proposal, ...]:
+        """The proposals ``add_points`` counted, after the eager ones."""
+        proposals = list(self.eager)
+        append = proposals.append
+        rule, p_score, base = self.rule, self.p_score, self.base
+        breakdowns, counts = self.breakdowns, self.counts
+        subject_ids = set()
+        for candidate, sim in self.subjects:
+            subject_ids.add(candidate)
+            if sim is not None:
+                append(_proposal(candidate, base + p_score + sim, rule,
+                                 breakdowns[p_score, sim, None, None, base]))
+        for (phrase, kind, weight, index), sim in zip(
+                islice(self.entries, self.count), self.sims):
+            if sim is None or phrase.id in subject_ids:
+                continue
+            dist = counts[kind] - index
+            append(_proposal(phrase.id, weight - dist + p_score + sim, rule,
+                             breakdowns[p_score, sim, weight, dist]))
+        return tuple(proposals)
+
+
+class _BuiltOnFirstRead:
+    """``ResolutionResult.proposals``: the field's slot, which may hold a
+    ``_WeightedProposals`` until the first read stores its tuple there."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot) -> None:
+        self.slot = slot
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        value = self.slot.__get__(result)
+        if type(value) is _WeightedProposals:
+            with _build_lock:
+                value = self.slot.__get__(result)
+                if type(value) is _WeightedProposals:
+                    value = value.build()
+                    self.slot.__set__(result, value)
+        return value
+
+    def __set__(self, result, value) -> None:
+        self.slot.__set__(result, value)
+
+
+_build_lock = threading.Lock()
+ResolutionResult.proposals = _BuiltOnFirstRead(ResolutionResult.proposals)
 
 
 # Shared by every call that passes no config, so those calls share caches too.
@@ -386,7 +488,7 @@ class _Sweep:
             direct_proposals = self.mentions(anaphor.lemma, config.identity_points, "R1")
         proposals = direct_proposals + propose_no_antecedent(prop, config)
 
-        case_slot = None
+        case_slot = weighted = None
         if mode == NOMINAL:
             def similarity(candidate: Phrase) -> int:
                 if not config.semantics:
@@ -396,8 +498,8 @@ class _Sweep:
                             for x in modifiers), default=0)
                 return similarity_score(best, config.similarity_table)
 
-            proposals.extend(self._weighted(
-                anaphor, p_score, "R4", anaphor.lemma, similarity))
+            weighted = self._weighted(
+                anaphor, proposals, p_score, "R4", anaphor.lemma, similarity)
         elif mode == VERBAL:
             case_slot = frame.slot(slot)
         elif (modified := _genitive_head(anaphor, self.d)) is not None:
@@ -414,11 +516,13 @@ class _Sweep:
                     return None
                 return sim if config.semantics else 0
 
-            proposals.extend(self._weighted(anaphor, p_score, "R5", case_slot, fit))
+            weighted = self._weighted(anaphor, proposals, p_score, "R5", case_slot, fit)
 
         totals: dict[Candidate, int] = {}
         for proposal in proposals:
             totals[proposal.candidate] = totals.get(proposal.candidate, 0) + proposal.points
+        if weighted is not None:
+            weighted.add_points(totals)
         winner: Optional[Candidate] = None
         total = 0
         if totals:
@@ -429,11 +533,11 @@ class _Sweep:
             winner = max((c for c in tied if isinstance(c, int)), default=tied[0])
         direct = any(pr.candidate == winner for pr in direct_proposals)
         return ResolutionResult(anaphor.id, slot, winner, total, totals,
-                                tuple(proposals), direct)
+                                tuple(proposals) if weighted is None else weighted, direct)
 
-    def _weighted(self, anaphor: Phrase, p_score: int, rule: str, source,
-                  compute: Callable[[Phrase], Optional[int]]) -> list[Proposal]:
-        """Subject-path proposals plus topic/focus proposals of R4/R5.
+    def _weighted(self, anaphor: Phrase, eager: list[Proposal], p_score: int, rule: str,
+                  source, compute: Callable[[Phrase], Optional[int]]) -> _WeightedProposals:
+        """The R4/R5 candidates of one target: its subject path and topics/foci.
 
         ``compute`` returns a candidate's similarity score, or None when the
         candidate must be excluded; it runs once per run cache, source, and
@@ -450,25 +554,10 @@ class _Sweep:
 
         sims = self.sims.setdefault(source, [])
         sims.extend(score(entry[0]) for entry in self.entries[len(sims):])
-        proposals: list[Proposal] = []
-        append = proposals.append
-        breakdowns = self.breakdowns
-        base = self.config.subject_base
-        subject_ids = set()
-        for candidate in _subject_path(anaphor, self.d):
-            subject_ids.add(candidate.id)
-            sim = score(candidate)
-            if sim is not None:
-                append(_proposal(candidate.id, base + p_score + sim, rule,
-                                 breakdowns[p_score, sim, None, None, base]))
-        counts = self.counts
-        for (phrase, kind, weight, index), sim in zip(self.entries, sims):
-            if sim is None or phrase.id in subject_ids:
-                continue
-            dist = counts[kind] - index
-            append(_proposal(phrase.id, weight - dist + p_score + sim, rule,
-                             breakdowns[p_score, sim, weight, dist]))
-        return proposals
+        subjects = [(p.id, score(p)) for p in _subject_path(anaphor, self.d)]
+        return _WeightedProposals(tuple(eager), rule, p_score, self.config.subject_base,
+                                  subjects, self.entries, dict(self.counts), sims,
+                                  self.breakdowns)
 
 
 def resolve(

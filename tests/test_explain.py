@@ -145,6 +145,30 @@ def test_lemma_named_like_a_pseudo_candidate_gets_its_id(lexicons):
     assert parse_total_row(table, doc) == result.all_scores == {"INDEFINITE": 10, 1: -16}
 
 
+def test_a_lemma_holding_a_hash_cannot_take_another_phrase_label(lexicons):
+    # "ie" at phrases 1 and 3 is labelled ie#1 and ie#3; a lemma "ie#1" as
+    # its own name would be a second ie#1 column.
+    doc = parse_discourse(
+        "#DOC t\n#SENT 0\n"
+        "1\tie\tie\tnoun\tcommon\twa\t2\t-\t-\t-\t-\n"
+        "2\tatta.\taru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+        "#SENT 1\n"
+        "3\tie\tie\tnoun\tcommon\twa\t4\t-\t-\t-\t-\n"
+        "4\tatta.\taru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+        "#SENT 2\n"
+        "5\tie#1\tie#1\tnoun\tcommon\twa\t6\t-\t-\t-\t-\n"
+        "6\tatta.\taru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+        "#SENT 3\n"
+        "7\tyane\tyane\tnoun\tcommon\tga\t8\t-\t-\tindefinite\t-\n"
+        "8\tmieta.\tmieru\tverb\t-\t-\t-\t-\t-\t-\t-\n")
+    result = resolve(doc.phrase(7), None, doc, lexicons)
+    assert result.all_scores == {"INDEFINITE": 10, 1: 22, 3: 23, 5: -16}
+    table = render_score_table(result, doc)
+    assert table.splitlines()[1].split() == [
+        "|", "INDEFINITE", "|", "phrase5", "|", "ie#3", "|", "ie#1"]
+    assert parse_total_row(table, doc) == result.all_scores
+
+
 @pytest.mark.parametrize("lemma", ["i|e", " ie", "ie "])
 def test_a_lemma_that_cannot_be_a_label_reads_back_by_phrase_id(lemma, lexicons):
     # The header splits at "|" and strips each cell, so such a lemma is

@@ -1,0 +1,141 @@
+"""R4/R5 proposals are built the first time a result's ``proposals`` are read.
+
+Resolution adds each weighted candidate's points to the totals directly, so
+``bridgeref resolve`` builds no ``Proposal`` for them.  A result holds what
+building them needs and builds them once, on the first read, from any
+thread and at any point of the stream; until then clones see the same
+fields as after it.
+"""
+import copy
+import dataclasses
+import importlib.util
+import pickle
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from bridgeref import resolver
+from bridgeref.cli import main
+from bridgeref.config import ResolverConfig
+from bridgeref.resolver import (
+    ResolutionResult,
+    _WeightedProposals,
+    _resolve_stream,
+    resolve,
+    resolve_discourse,
+)
+from randgen import random_long_case
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _pending(result):
+    """Whether the result's proposals were never read."""
+    return type(ResolutionResult.proposals.slot.__get__(result)) is _WeightedProposals
+
+
+def _alone(result, d, lex, config):
+    return resolve(d.phrase(result.anaphor_id), result.slot, d, lex, config).proposals
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """The rule of each R4/R5 proposal built since the fixture was set up."""
+    built = []
+    build = resolver._proposal
+
+    def counting(*args):
+        built.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(resolver, "_proposal", counting)
+    return built
+
+
+def test_resolve_command_builds_no_weighted_proposal(tmp_path, counted_builds):
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    long_doc = workloads.build("long_doc", 3, ROOT, tmp_path / "long_doc")
+    inputs = ["--corpus", long_doc["corpus"], "--lexicons", long_doc["lexicons"]]
+    assert main(["resolve", *inputs, "--out", str(tmp_path / "preds.tsv")]) == 0
+    predictions = (tmp_path / "preds.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(predictions) > 200
+    assert counted_builds == []
+    # The count sees the proposals a table reads.
+    last = predictions[-1].split()[1]
+    assert main(["explain", *inputs, "--anaphor", f"long:{last}"]) == 0
+    assert counted_builds and set(counted_builds) <= {"R4", "R5"}
+
+
+def test_an_unread_result_clones_equal_to_itself():
+    d, lex = random_long_case(5)
+    config = ResolverConfig.default()
+    clones = [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy,
+              dataclasses.replace]
+    for clone in clones:
+        results = [r for r in resolve_discourse(d, lex, config) if _pending(r)]
+        assert len(results) > 10
+        for result in results:
+            cloned = clone(result)
+            assert type(cloned) is ResolutionResult and not _pending(cloned)
+            assert cloned == result and repr(cloned) == repr(result)
+            assert cloned.proposals == _alone(result, d, lex, config)
+
+
+def test_a_result_reads_the_same_proposals_mid_stream_after_it_and_from_threads():
+    config = ResolverConfig.default()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            d, lex = random_long_case(seed)
+            stream = _resolve_stream(d, lex, config)
+            first = next(r for r in stream if _pending(r))
+            early = next(r for r in stream if _pending(r))    # first read from threads
+            mid_stream = first.proposals
+            results = list(stream)
+            assert results
+            assert first.proposals is mid_stream
+            assert mid_stream == _alone(first, d, lex, config)
+            late = next(r for r in reversed(results) if _pending(r))
+            assert late.proposals == _alone(late, d, lex, config)
+
+            reads = []
+            barrier = threading.Barrier(3)
+
+            def read(result):
+                barrier.wait(timeout=30)
+                reads.append((result.proposals, first.proposals))
+
+            threads = [threading.Thread(target=read, args=(early,)) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(reads) == 3
+            assert all(got is early.proposals and again is mid_stream
+                       for got, again in reads)
+            assert early.proposals == _alone(early, d, lex, config)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_unread_proposals_keep_the_breakdowns_of_their_own_run():
+    d, lex = random_long_case(2)
+    config = ResolverConfig.default()
+    other = dataclasses.replace(config, subject_base=40)
+    results = resolve_discourse(d, lex, config)
+    assert any(_pending(r) for r in results)
+    resolve_discourse(d, lex, other)              # another pair's run caches
+    breakdowns = {}
+    for result in results:
+        assert result.proposals == _alone(result, d, lex, config)
+        for proposal in result.proposals:
+            if proposal.breakdown is not None:
+                key = dataclasses.astuple(proposal.breakdown)
+                assert breakdowns.setdefault(key, proposal.breakdown) is proposal.breakdown
+    assert breakdowns

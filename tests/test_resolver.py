@@ -381,9 +381,11 @@ def test_equal_breakdowns_within_a_run_are_one_object(corpora, lexicons):
 
 def test_run_caches_map_score_components_to_their_breakdown(corpora, lexicons):
     config = ResolverConfig()
-    for doc in corpora.values():
-        resolve_discourse(doc, lexicons, config)
+    results = [r for doc in corpora.values() for r in resolve_discourse(doc, lexicons, config)]
     breakdowns = _run_caches(lexicons, config).breakdowns
+    assert not breakdowns              # looked up only when proposals are built
+    for result in results:
+        assert result.proposals
     assert breakdowns
     for key, breakdown in breakdowns.items():
         assert type(key) is tuple and len(key) in (4, 5)
