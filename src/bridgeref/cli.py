@@ -1,5 +1,13 @@
 """Command line front end: resolve, explain, eval, build-dict.
 
+Every command reads its corpus as a stream, one document at a time, so a
+run's memory grows with its largest document, not with the corpus.  What is
+needed for every document is read first: ``resolve`` and ``explain`` read
+the config, then the lexicons, then the corpus; ``eval`` reads the
+predictions, then the corpus, and scores each document's units as that
+document is parsed.  When an input has several faults, the first one met in
+that order is reported.
+
 Exit codes: 0 on success, 1 on data errors (corpus, lexicon, predictions)
 and on any file that cannot be read or written, 2 on configuration or usage
 errors.
@@ -8,16 +16,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from itertools import takewhile
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from ._files import read_utf8
 from .config import ConfigError, ResolverConfig, load_config
-from .corpus import CorpusStructureError, Discourse, parse_corpus
+from .corpus import CorpusStructureError, Discourse, _parse_stream
 from .dictbuild import build_dictionary
 from .evaluate import (
-    evaluate,
+    Prediction,
+    _Tally,
+    _unknown_document,
     parse_predictions,
     predictions_from_results,
     serialize_predictions,
@@ -30,35 +41,42 @@ DATA_ERROR = 1
 CONFIG_ERROR = 2
 
 
-def _parse_file(path: str, parse: Callable[[str], object]):
-    """``parse`` of a data file's text, with the path put in front of its errors."""
-    text = read_utf8(path, ValueError)
+@contextmanager
+def _named(path: str):
+    """Put a data file's path in front of the data errors raised inside."""
     try:
-        return parse(text)
+        yield
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _corpora(text: str) -> dict[str, Discourse]:
-    """The documents of a corpus by id; a repeated id is a data error."""
-    documents = {}
-    for d in parse_corpus(text):
-        if d.doc_id in documents:
-            raise CorpusStructureError(f"document id {d.doc_id!r} is repeated")
-        documents[d.doc_id] = d
-    return documents
+def _parse_file(path: str, parse: Callable[[str], object]):
+    """``parse`` of a data file's text, with the path put in front of its errors."""
+    text = read_utf8(path, ValueError)
+    with _named(path):
+        return parse(text)
 
 
-def _load_resolver_inputs(args):
-    """Corpus, lexicons and config.
+def _documents(path: str) -> Iterator[Discourse]:
+    """The documents of a corpus file, each yielded as soon as it is parsed.
 
-    The config is read first, so a configuration error stops the run before
-    any data file is read.
+    A repeated id is a data error, since the later document would silently
+    replace the earlier one.
     """
+    seen = set()
+    documents = _parse_stream(read_utf8(path, ValueError))
+    with _named(path):
+        for document in documents:
+            if document.doc_id in seen:
+                raise CorpusStructureError(f"document id {document.doc_id!r} is repeated")
+            seen.add(document.doc_id)
+            yield document
+
+
+def _resolver_config(args) -> ResolverConfig:
+    """The config, read before any data file so its errors stop the run first."""
     config = load_config(args.config) if args.config else ResolverConfig.default()
-    if args.no_semantics:
-        config = config.without_semantics()
-    return _parse_file(args.corpus, _corpora), load_lexicons(args.lexicons), config
+    return config.without_semantics() if args.no_semantics else config
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -71,14 +89,16 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_resolve(args) -> int:
     """Write every target's prediction, once the whole corpus is resolved.
 
-    Each result is dropped once its prediction is built, and a failure
-    leaves no partial output.
+    Each document is resolved as soon as it is parsed, each result is
+    dropped once its prediction is built, and a failure leaves no partial
+    output.
     """
-    corpora, lexicons, config = _load_resolver_inputs(args)
+    config = _resolver_config(args)
+    lexicons = load_lexicons(args.lexicons)
     predictions = []
-    for doc_id, discourse in corpora.items():
+    for discourse in _documents(args.corpus):
         results = _resolve_stream(discourse, lexicons, config)
-        predictions.extend(predictions_from_results(doc_id, results))
+        predictions.extend(predictions_from_results(discourse.doc_id, results))
     _write_out(serialize_predictions(predictions), args.out)
     return 0
 
@@ -92,8 +112,13 @@ def _cmd_explain(args) -> int:
         phrase_id = int(raw_id)
     except ValueError:
         raise ConfigError(f"--anaphor phrase id must be an integer, got {raw_id!r}") from None
-    corpora, lexicons, config = _load_resolver_inputs(args)
-    discourse = corpora.get(doc_id)
+    config = _resolver_config(args)
+    lexicons = load_lexicons(args.lexicons)
+    # The whole corpus is read, so a broken later document is still an error.
+    discourse = None
+    for document in _documents(args.corpus):
+        if document.doc_id == doc_id:
+            discourse = document
     if discourse is None:
         raise CorpusStructureError(f"no document {doc_id!r} in {args.corpus}")
     if not discourse.has_phrase(phrase_id):
@@ -112,10 +137,19 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    corpora = _parse_file(args.corpus, _corpora)
-    report = _parse_file(args.predictions,
-                         lambda text: evaluate(parse_predictions(text), corpora))
-    sys.stdout.write(report.render())
+    """Score each document's predictions as soon as the document is parsed."""
+    units: dict[str, list[Prediction]] = {}
+    for prediction in _parse_file(args.predictions, parse_predictions):
+        units.setdefault(prediction.doc_id, []).append(prediction)
+    tally = _Tally()
+    for discourse in _documents(args.corpus):
+        with _named(args.predictions):
+            for prediction in units.pop(discourse.doc_id, ()):
+                tally.add(prediction, discourse)
+    if units:
+        with _named(args.predictions):
+            raise _unknown_document(next(iter(units)))
+    sys.stdout.write(tally.report().render())
     return 0
 
 

@@ -23,7 +23,10 @@ trailing ``,`` or ``.`` on the surface is stripped into ``punct_after``.
 
 One set of rules covers a phrase's own fields: a noun needs a known
 subtype, particles, clause roles and referential properties must be known
-values, and a zero pronoun has surface ``*`` and a zero-pronoun particle.
+values, a zero pronoun has surface ``*`` and a zero-pronoun particle, and
+no surface, lemma, part of speech, sem code or gold label holds a tab or a
+line break (any character ``str.splitlines`` ends a line at), which no
+field of the format can carry.  Parsed text never holds one.
 Parsing reports the first broken rule as a ``CorpusFormatError`` naming the
 line and field; ``validate_discourse`` reports each as ``phrase <id>:`` and
 the same message.  Parsing then reports the first structural violation of
@@ -31,14 +34,17 @@ each document as a ``CorpusStructureError``: dangling heads, head chains
 that never reach the sentence root (cycles, head-less sentences),
 non-increasing ids and gold antecedents that do not precede their phrase.
 
-Documents are immutable once parsed; any number of readers may share them.
-Within one ``parse_corpus`` call, equal field values (surface, lemma, part
-of speech, subtype, clause role, referential property) are one shared
-string object, which is sound because strings are immutable.
+Parsing is a stream: each document is checked and handed on before the
+next one is read, and ``parse_corpus`` collects them into a list.  Documents
+are immutable once parsed; any number of readers may share them.  Within
+one parse, equal field values (surface, lemma, part of speech, subtype,
+clause role, referential property) are one shared string object, which is
+sound because strings are immutable.
 """
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
@@ -57,6 +63,9 @@ _PUNCT_MAP = {",": "comma", "、": "comma", ".": "period", "。": "period"}
 _PUNCT_OUT = {"comma": ",", "period": "."}
 
 NONE_MARKER = "NONE"
+
+# The field separator and every character ``str.splitlines`` ends a line at.
+_UNWRITABLE = re.compile("[\t\n\x0b\x0c\r\x1c-\x1e\x85\u2028\u2029]")
 
 
 class CorpusFormatError(ValueError):
@@ -196,7 +205,7 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
     ``split_list`` is ``_split_list`` memoised by raw string, ``sound``
     holds the shapes of own fields that passed ``_field_faults``, and
     ``same(value, value)`` returns the first equal string seen; all three
-    last one ``parse_corpus`` call.
+    last one parse.
     """
     fields = line.split("\t")
     if len(fields) != 11:
@@ -243,7 +252,8 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
     _set_sem_codes(phrase, split_list(sem_codes))
     _set_ref_property(phrase, "auto" if refprop == "-" else same(refprop, refprop))
     _set_gold_antecedents(phrase, () if gold == "-" else _parse_gold(gold, lineno))
-    # Everything _field_faults reads; a shape that faulted is never added.
+    # Everything _field_faults reads but the field text, which a split line
+    # cannot give a tab or line break; a shape that faulted is never added.
     shape = pos, subtype, particles, clause_role, refprop, not surface
     if shape not in sound:
         for name, message in _field_faults(phrase):
@@ -271,11 +281,25 @@ def _field_faults(p: Phrase) -> Iterator[tuple[str, str]]:
         yield "clause_role", f"unknown clause role {p.clause_role!r}"
     if p.ref_property not in REF_PROPERTIES:
         yield "refprop", f"unknown referential property {p.ref_property!r}"
+    for name, text in (("surface", p.surface), ("lemma", p.lemma), ("pos", p.pos),
+                       ("sem_codes", "".join(p.sem_codes)),
+                       ("gold", "".join(g.label or "" for g in p.gold_antecedents))):
+        unwritable = _UNWRITABLE.search(text)
+        if unwritable:
+            yield name, f"holds {unwritable.group()!r}, which no field can carry"
 
 
 def parse_corpus(text: str) -> list[Discourse]:
     """Parse ADC text into a list of documents."""
-    documents: list[Discourse] = []
+    return list(_parse_stream(text))
+
+
+def _parse_stream(text: str) -> Iterator[Discourse]:
+    """The documents of ADC text, each yielded once it is parsed and checked.
+
+    A document is yielded before the next one is read, so a caller that
+    keeps only what it needs of each holds one document at a time.
+    """
     doc_id: Optional[str] = None
     sentences: list[Sentence] = []
     current: Optional[list[Phrase]] = None
@@ -290,19 +314,20 @@ def parse_corpus(text: str) -> list[Discourse]:
             sentences.append(Sentence(index=current_index, phrases=tuple(current)))
             current = None
 
-    def close_document():
+    def close_document() -> Discourse:
         nonlocal sentences
-        if doc_id is not None:
-            close_sentence()
-            document = Discourse(doc_id=doc_id, sentences=tuple(sentences))
-            violations = _structure_violations(document)
-            if violations:
-                raise CorpusStructureError(f"document {doc_id!r}: {violations[0]}")
-            documents.append(document)
-            sentences = []
+        close_sentence()
+        document = Discourse(doc_id=doc_id, sentences=tuple(sentences))
+        violations = _structure_violations(document)
+        if violations:
+            raise CorpusStructureError(f"document {doc_id!r}: {violations[0]}")
+        sentences = []
+        return document
 
-    # Lines are popped off the reversed list, so each is freed once read.
+    # Lines are popped off the reversed list, so each is freed once read;
+    # the text itself is freed once split, when no caller holds it.
     lines = text.splitlines()
+    del text
     lines.reverse()
     pop = lines.pop
     lineno = 0
@@ -317,7 +342,8 @@ def parse_corpus(text: str) -> list[Discourse]:
             continue
         directive = line.split(None, 1)[0] if line.startswith("#") else None
         if directive == "#DOC":
-            close_document()
+            if doc_id is not None:
+                yield close_document()
             parts = line.split(None, 1)
             if len(parts) != 2 or not parts[1].strip():
                 raise CorpusFormatError(f"line {lineno}: #DOC needs a document id")
@@ -351,8 +377,8 @@ def parse_corpus(text: str) -> list[Discourse]:
                 f"line {lineno}: phrase record outside of a #DOC/#SENT block")
         current.append(_parse_record(line, lineno, split_list, sound, same))
 
-    close_document()
-    return documents
+    if doc_id is not None:
+        yield close_document()
 
 
 def parse_discourse(text: str) -> Discourse:

@@ -171,19 +171,20 @@ def _gold_ids(discourse: Discourse, prediction: Prediction) -> set[int]:
     return ids
 
 
-def evaluate(
-    predictions: Iterable[Prediction],
-    corpora: Mapping[str, Discourse],
-) -> EvalReport:
-    """Score predictions; every predicted anaphor must carry gold annotation."""
-    counts = {
-        VERBAL_CLASS: ClassCounts(0, 0, 0),
-        NONVERBAL_CLASS: ClassCounts(0, 0, 0),
-    }
-    for prediction in predictions:
-        discourse = corpora.get(prediction.doc_id)
-        if discourse is None:
-            raise ValueError(f"predictions name unknown document {prediction.doc_id!r}")
+class _Tally:
+    """Counts by class of the units scored so far.
+
+    ``add`` checks one unit against its document before counting it, so a
+    caller may score a corpus one document at a time.
+    """
+
+    def __init__(self):
+        self.counts = {
+            VERBAL_CLASS: ClassCounts(0, 0, 0),
+            NONVERBAL_CLASS: ClassCounts(0, 0, 0),
+        }
+
+    def add(self, prediction: Prediction, discourse: Discourse) -> None:
         if not discourse.has_phrase(prediction.anaphor_id):
             raise ValueError(
                 f"document {prediction.doc_id!r} has no phrase {prediction.anaphor_id}")
@@ -208,15 +209,31 @@ def evaluate(
         system = prediction.winner is not None
         correct = system and prediction.winner in gold_ids
         key = VERBAL_CLASS if prediction.slot is not None else NONVERBAL_CLASS
-        counts[key] = counts[key].add(correct, gold, system)
-    total = ClassCounts(
-        counts[VERBAL_CLASS].correct + counts[NONVERBAL_CLASS].correct,
-        counts[VERBAL_CLASS].gold_positive + counts[NONVERBAL_CLASS].gold_positive,
-        counts[VERBAL_CLASS].system_positive + counts[NONVERBAL_CLASS].system_positive,
-    )
-    return EvalReport(
-        correct=total.correct,
-        gold_positive=total.gold_positive,
-        system_positive=total.system_positive,
-        by_class=counts,
-    )
+        self.counts[key] = self.counts[key].add(correct, gold, system)
+
+    def report(self) -> EvalReport:
+        verbal, nonverbal = self.counts[VERBAL_CLASS], self.counts[NONVERBAL_CLASS]
+        return EvalReport(
+            correct=verbal.correct + nonverbal.correct,
+            gold_positive=verbal.gold_positive + nonverbal.gold_positive,
+            system_positive=verbal.system_positive + nonverbal.system_positive,
+            by_class=self.counts,
+        )
+
+
+def _unknown_document(doc_id: str) -> ValueError:
+    return ValueError(f"predictions name unknown document {doc_id!r}")
+
+
+def evaluate(
+    predictions: Iterable[Prediction],
+    corpora: Mapping[str, Discourse],
+) -> EvalReport:
+    """Score predictions; every predicted anaphor must carry gold annotation."""
+    tally = _Tally()
+    for prediction in predictions:
+        discourse = corpora.get(prediction.doc_id)
+        if discourse is None:
+            raise _unknown_document(prediction.doc_id)
+        tally.add(prediction, discourse)
+    return tally.report()

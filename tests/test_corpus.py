@@ -444,3 +444,28 @@ def test_parse_peak_stays_near_what_the_documents_hold():
         tracemalloc.stop()
     assert len(documents) == 3000
     assert peak - held < len(text) / 2, (peak - held, held - before, len(text))
+
+
+# The field separator and every character ``str.splitlines`` ends a line at.
+_UNWRITABLE = ["\t"] + [c for c in map(chr, range(0x10000)) if len(f"a{c}b".splitlines()) > 1]
+
+
+@pytest.mark.parametrize("char", _UNWRITABLE, ids=lambda c: f"U+{ord(c):04X}")
+def test_field_text_is_rejected_unless_it_reads_back(char):
+    # Phrase 2 holds the character in one field; what validate_discourse
+    # passes must serialise and parse back unchanged.
+    fields = {"surface": f"ne{char}ko", "lemma": f"ne{char}ko", "pos": f"no{char}un",
+              "sem_codes": ("15", f"1{char}2"),
+              "gold": (GoldAntecedent(f"pa{char}rt", 1), GoldAntecedent(None, None))}
+    for name, value in fields.items():
+        noun = make_phrase(2, lemma="yane", particles=("ga",), head=3, codes=("15",),
+                           gold=[GoldAntecedent("part", 1)])
+        attribute = {"sem_codes": "sem_codes", "gold": "gold_antecedents"}.get(name, name)
+        doc = _doc([make_phrase(1, lemma="ie", particles=("no",), head=2),
+                    dataclasses.replace(noun, **{attribute: value}),
+                    make_phrase(3, lemma="mieru", pos="verb")])
+        faults = validate_discourse(doc)
+        if faults:
+            assert faults == [f"phrase 2: holds {char!r}, which no field can carry"], name
+        else:
+            assert parse_corpus(serialize_corpus([doc])) == [doc], name
