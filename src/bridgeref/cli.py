@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ._files import read_utf8
 from .config import ConfigError, ResolverConfig, load_config
@@ -48,13 +48,6 @@ def _named(path: str):
         yield
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-
-
-def _parse_file(path: str, parse: Callable[[str], object]):
-    """``parse`` of a data file's text, with the path put in front of its errors."""
-    text = read_utf8(path, ValueError)
-    with _named(path):
-        return parse(text)
 
 
 def _documents(path: str) -> Iterator[Discourse]:
@@ -138,8 +131,11 @@ def _cmd_explain(args) -> int:
 
 def _cmd_eval(args) -> int:
     """Score each document's predictions as soon as the document is parsed."""
+    text = read_utf8(args.predictions, ValueError)
+    with _named(args.predictions):
+        predictions = parse_predictions(text)
     units: dict[str, list[Prediction]] = {}
-    for prediction in _parse_file(args.predictions, parse_predictions):
+    for prediction in predictions:
         units.setdefault(prediction.doc_id, []).append(prediction)
     tally = _Tally()
     for discourse in _documents(args.corpus):

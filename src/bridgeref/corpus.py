@@ -26,7 +26,8 @@ subtype, particles, clause roles and referential properties must be known
 values, a zero pronoun has surface ``*`` and a zero-pronoun particle, and
 no surface, lemma, part of speech, sem code or gold label holds a tab or a
 line break (any character ``str.splitlines`` ends a line at), which no
-field of the format can carry.  Parsed text never holds one.
+field of the format can carry.  A gold label holds neither ``:`` nor ``,``,
+and a gold antecedent id has a label.  Parsed text never breaks these.
 Parsing reports the first broken rule as a ``CorpusFormatError`` naming the
 line and field; ``validate_discourse`` reports each as ``phrase <id>:`` and
 the same message.  Parsing then reports the first structural violation of
@@ -253,7 +254,9 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
     _set_ref_property(phrase, "auto" if refprop == "-" else same(refprop, refprop))
     _set_gold_antecedents(phrase, () if gold == "-" else _parse_gold(gold, lineno))
     # Everything _field_faults reads but the field text, which a split line
-    # cannot give a tab or line break; a shape that faulted is never added.
+    # cannot give a tab or line break, and the gold items, since _parse_gold
+    # cuts labels at ',' and ':' and reads no id without a label; a shape
+    # that faulted is never added.
     shape = pos, subtype, particles, clause_role, refprop, not surface
     if shape not in sound:
         for name, message in _field_faults(phrase):
@@ -287,6 +290,12 @@ def _field_faults(p: Phrase) -> Iterator[tuple[str, str]]:
         unwritable = _UNWRITABLE.search(text)
         if unwritable:
             yield name, f"holds {unwritable.group()!r}, which no field can carry"
+    # A gold item is written as rel=<label>:<id>, rel=<label>:NONE or rel=NONE.
+    for label, antecedent in p.gold_antecedents:
+        if label is None and antecedent is not None:
+            yield "gold", f"antecedent {antecedent} has no label"
+        elif label is not None and (":" in label or "," in label):
+            yield "gold", f"label {label!r} holds ':' or ',', which separate gold items"
 
 
 def parse_corpus(text: str) -> list[Discourse]:

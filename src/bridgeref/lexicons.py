@@ -7,7 +7,8 @@ All four resources are plain UTF-8 files with ``%`` comment lines:
 * case frames:    blocks of ``verb <lemma>`` followed by
                   ``slot case=<c> constraints=<codes,> examples=<lemmas,>``
                   lines, plus ``vn <noun> -> <verb>`` mappings for verbal nouns;
-                  each mapped verb needs a block in the same file.
+                  each constraint is a thesaurus code prefix (a digit string),
+                  and each mapped verb needs a block in the same file.
 * genitive pairs: ``x<TAB>y`` per line, one line per observed "X no Y" example.
 * noun attributes: ``lemma<TAB>flag[,flag...]`` with flags from
                   adjectival / numeral / temporal / non_anaphoric / relational.
@@ -55,10 +56,13 @@ def _two_fields(line: str, form: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _checked_entry(lemma: str, code: str) -> tuple[str, str]:
+def _check_code(code: str, what: str) -> None:
     if not code or not code.isdigit():
-        raise LexiconFormatError(
-            f"thesaurus code for {lemma!r} must be a nonempty digit string")
+        raise LexiconFormatError(f"{what} must be a nonempty digit string")
+
+
+def _checked_entry(lemma: str, code: str) -> tuple[str, str]:
+    _check_code(code, f"thesaurus code for {lemma!r}")
     return lemma, code
 
 
@@ -198,6 +202,8 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
                 raise ValueError(f"unknown surface case {case!r}")
             constraints = tuple(
                 c for c in _parse_kv(tokens[2], "constraints").split(",") if c and c != "-")
+            for code in constraints:
+                _check_code(code, f"case-frame constraint {code!r}")
             examples = tuple(
                 e for e in _parse_kv(tokens[3], "examples").split(",") if e and e != "-")
             if not constraints and not examples:

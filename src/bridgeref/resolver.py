@@ -39,10 +39,8 @@ What depends only on the lexicons and the config (target modes, salience
 classes and similarity scores) is cached for as long as the same
 ``LexiconSet`` and ``ResolverConfig`` objects are passed, so a run over many
 documents computes each of them once.  Both objects are immutable, which
-makes the cache sound.  It is keyed by lemmas, particles, case slots and
-score components, and never holds a phrase or a document; each distinct
-``ScoreBreakdown`` of a run is built once and shared by every proposal with
-those components.
+makes the cache sound.  It is keyed by lemmas, particles and case slots,
+and never holds a phrase, a document or a position in one.
 """
 from __future__ import annotations
 
@@ -84,11 +82,7 @@ _SLOT_PARTICLES = {**{case: case for case in SURFACE_CASES}, "niwa": "ni"}
 
 @dataclass(frozen=True, slots=True)
 class ScoreBreakdown:
-    """Score components of one salience or subject proposal.
-
-    The resolver shares one instance between all proposals of a run whose
-    components are equal, which is sound because instances are immutable.
-    """
+    """Score components of one salience or subject proposal."""
     definiteness: int
     similarity: int
     weight: Optional[int] = None      # topic/focus weight, salience path only
@@ -102,26 +96,6 @@ class Proposal:
     points: int
     rule: str                          # "R1".."R6"
     breakdown: Optional[ScoreBreakdown] = None
-
-
-# The slot descriptors of Proposal.  ``_proposal`` sets them directly,
-# skipping the frozen ``__init__``'s one ``object.__setattr__`` per field.
-_new_object = object.__new__
-_set_candidate = Proposal.candidate.__set__
-_set_points = Proposal.points.__set__
-_set_rule = Proposal.rule.__set__
-_set_breakdown = Proposal.breakdown.__set__
-
-
-def _proposal(candidate: Candidate, points: int, rule: str,
-              breakdown: ScoreBreakdown) -> Proposal:
-    """``Proposal(candidate, points, rule, breakdown)``, built faster for R4/R5."""
-    proposal = _new_object(Proposal)
-    _set_candidate(proposal, candidate)
-    _set_points(proposal, points)
-    _set_rule(proposal, rule)
-    _set_breakdown(proposal, breakdown)
-    return proposal
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,15 +136,15 @@ class _WeightedProposals:
     """
 
     __slots__ = ("eager", "rule", "p_score", "base", "subjects", "count", "counts",
-                 "entries", "sims", "breakdowns")
+                 "entries", "sims")
 
     def __init__(self, eager: tuple[Proposal, ...], rule: str, p_score: int, base: int,
                  subjects: list[tuple[int, Optional[int]]],
                  entries: list[tuple[Phrase, str, int, int]], counts: dict[str, int],
-                 sims: list[Optional[int]], breakdowns: dict[tuple, ScoreBreakdown]):
+                 sims: list[Optional[int]]):
         self.eager, self.rule, self.p_score, self.base = eager, rule, p_score, base
         self.subjects, self.count, self.counts = subjects, len(entries), counts
-        self.entries, self.sims, self.breakdowns = entries, sims, breakdowns
+        self.entries, self.sims = entries, sims
 
     def add_points(self, totals: dict[Candidate, int]) -> None:
         """Add each weighted candidate's points to ``totals``, in proposal order."""
@@ -191,21 +165,20 @@ class _WeightedProposals:
         """The proposals ``add_points`` counted, after the eager ones."""
         proposals = list(self.eager)
         append = proposals.append
-        rule, p_score, base = self.rule, self.p_score, self.base
-        breakdowns, counts = self.breakdowns, self.counts
+        rule, p_score, base, counts = self.rule, self.p_score, self.base, self.counts
         subject_ids = set()
         for candidate, sim in self.subjects:
             subject_ids.add(candidate)
             if sim is not None:
-                append(_proposal(candidate, base + p_score + sim, rule,
-                                 breakdowns[p_score, sim, None, None, base]))
+                append(Proposal(candidate, base + p_score + sim, rule,
+                                ScoreBreakdown(p_score, sim, base=base)))
         for (phrase, kind, weight, index), sim in zip(
                 islice(self.entries, self.count), self.sims):
             if sim is None or phrase.id in subject_ids:
                 continue
             dist = counts[kind] - index
-            append(_proposal(phrase.id, weight - dist + p_score + sim, rule,
-                             breakdowns[p_score, sim, weight, dist]))
+            append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
+                            ScoreBreakdown(p_score, sim, weight, dist)))
         return tuple(proposals)
 
 
@@ -331,18 +304,10 @@ def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
     ]
 
 
-class _Breakdowns(dict):
-    """Score components -> ``ScoreBreakdown``, built on the first lookup."""
-
-    def __missing__(self, key: tuple) -> ScoreBreakdown:
-        breakdown = self[key] = ScoreBreakdown(*key)
-        return breakdown
-
-
 class _RunCaches:
     """What the resolver derives from one lexicon set and one config alone."""
 
-    __slots__ = ("rows", "targets", "salience", "scores", "breakdowns")
+    __slots__ = ("rows", "targets", "salience", "scores")
 
     def __init__(self, rows: tuple) -> None:
         self.rows = rows                                # salience weight rows
@@ -352,10 +317,6 @@ class _RunCaches:
         self.salience: dict[tuple, Optional[tuple[str, int]]] = {}
         # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
         self.scores: dict[object, dict[tuple, Optional[int]]] = {}
-        # (definiteness, similarity, weight, dist) on the salience path, or
-        # (definiteness, similarity, None, None, base) on the subject path
-        # -> the one ScoreBreakdown with those components
-        self.breakdowns: dict[tuple, ScoreBreakdown] = _Breakdowns()
 
     def target(self, phrase: Phrase, lex: LexiconSet
                ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
@@ -439,8 +400,8 @@ _UNSEEN = object()
 class _Sweep:
     """What one document holds before the phrase being resolved.
 
-    Phrases are added in document order.  Salience classes, scores and
-    score breakdowns come from run caches, which last while the same lexicon set and config are
+    Phrases are added in document order.  Salience classes and scores come
+    from run caches, which last while the same lexicon set and config are
     passed.  The sweep takes their dicts once, when it is built, so a
     sweep never mixes the caches of two configs.
     """
@@ -449,7 +410,6 @@ class _Sweep:
         self.d, self.config, self.rows = d, config, caches.rows
         self.classes = caches.salience
         self.scores = caches.scores
-        self.breakdowns = caches.breakdowns
         # (phrase, kind, weight, index among entries of its kind) of every
         # salience entry but zero pronouns, which only count towards distance.
         self.entries: list[tuple[Phrase, str, int, int]] = []
@@ -556,8 +516,7 @@ class _Sweep:
         sims.extend(score(entry[0]) for entry in self.entries[len(sims):])
         subjects = [(p.id, score(p)) for p in _subject_path(anaphor, self.d)]
         return _WeightedProposals(tuple(eager), rule, p_score, self.config.subject_base,
-                                  subjects, self.entries, dict(self.counts), sims,
-                                  self.breakdowns)
+                                  subjects, self.entries, dict(self.counts), sims)
 
 
 def resolve(

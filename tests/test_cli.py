@@ -281,6 +281,22 @@ def test_verbal_noun_mapped_to_a_missing_verb_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_case_frame_constraint_that_is_not_a_code_is_a_data_error(tmp_path, capsys):
+    lex = tmp_path / "lexicons"
+    shutil.copytree(LEXICON_DIR, lex)
+    frames = lex / "caseframes.txt"
+    lines = frames.read_text(encoding="utf-8").splitlines()
+    lineno = next(n for n, line in enumerate(lines, 1) if "constraints=1112 " in line)
+    lines[lineno - 1] = lines[lineno - 1].replace("constraints=1112 ", "constraints=x1112 ")
+    frames.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "preds.tsv"
+    assert main(["resolve", "--corpus", CORPUS, "--lexicons", str(lex),
+                 "--out", str(out)]) == 1
+    assert (f"caseframes.txt: line {lineno}: case-frame constraint 'x1112' must be a "
+            f"nonempty digit string") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_weight_row_with_an_unknown_particle_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("semantics=on\nweight.topic.noun:zz=5\n", encoding="utf-8")

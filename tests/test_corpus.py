@@ -469,3 +469,33 @@ def test_field_text_is_rejected_unless_it_reads_back(char):
             assert faults == [f"phrase 2: holds {char!r}, which no field can carry"], name
         else:
             assert parse_corpus(serialize_corpus([doc])) == [doc], name
+
+
+def test_gold_items_are_rejected_unless_they_read_back():
+    def doc_with(*gold):
+        noun = make_phrase(2, lemma="yane", particles=("ga",), head=3, codes=("15",),
+                           gold=gold)
+        return _doc([make_phrase(1, lemma="ie", particles=("no",), head=2), noun,
+                     make_phrase(3, lemma="mieru", pos="verb")])
+
+    def reads_back(doc):
+        try:
+            return parse_corpus(serialize_corpus([doc])) == [doc]
+        except CorpusFormatError:
+            return False
+
+    separators = "holds ':' or ',', which separate gold items"
+    faulty = {GoldAntecedent("a:b", 1): f"label 'a:b' {separators}",
+              GoldAntecedent("a,b", 1): f"label 'a,b' {separators}",
+              GoldAntecedent("a,b", None): f"label 'a,b' {separators}",
+              GoldAntecedent(None, 1): "antecedent 1 has no label"}
+    for item, message in faulty.items():
+        doc = doc_with(item)
+        assert validate_discourse(doc) == [f"phrase 2: {message}"]
+        assert not reads_back(doc), item
+    for item in (GoldAntecedent("part", 1), GoldAntecedent("", 1), GoldAntecedent("NONE", 1),
+                 GoldAntecedent("part", None), GoldAntecedent("NONE", None),
+                 GoldAntecedent(None, None)):
+        doc = doc_with(item, GoldAntecedent("x", 1))
+        assert validate_discourse(doc) == []
+        assert reads_back(doc), item

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from bridgeref import resolver
 from bridgeref.cli import main
 from bridgeref.config import ResolverConfig
 from bridgeref.resolver import (
@@ -26,7 +25,7 @@ from bridgeref.resolver import (
     resolve,
     resolve_discourse,
 )
-from randgen import random_long_case
+from randgen import random_case, random_long_case
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,13 +43,14 @@ def _alone(result, d, lex, config):
 def counted_builds(monkeypatch):
     """The rule of each R4/R5 proposal built since the fixture was set up."""
     built = []
-    build = resolver._proposal
+    build = _WeightedProposals.build
 
-    def counting(*args):
-        built.append(args[2])
-        return build(*args)
+    def counting(self):
+        proposals = build(self)
+        built.extend(proposal.rule for proposal in proposals[len(self.eager):])
+        return proposals
 
-    monkeypatch.setattr(resolver, "_proposal", counting)
+    monkeypatch.setattr(_WeightedProposals, "build", counting)
     return built
 
 
@@ -68,6 +68,25 @@ def test_resolve_command_builds_no_weighted_proposal(tmp_path, counted_builds):
     last = predictions[-1].split()[1]
     assert main(["explain", *inputs, "--anaphor", f"long:{last}"]) == 0
     assert counted_builds and set(counted_builds) <= {"R4", "R5"}
+
+
+@pytest.mark.parametrize("case", [random_long_case, random_case],
+                         ids=lambda case: case.__name__)
+def test_proposals_add_up_to_the_totals_in_their_order(case):
+    # add_points makes the totals and build the proposals; each result's
+    # proposals must sum to its totals, candidate by candidate, in key order.
+    default = ResolverConfig.default()
+    checked = 0
+    for seed in range(60):
+        d, lex = case(seed)
+        for config in (default, default.without_semantics()):
+            for result in resolve_discourse(d, lex, config):
+                sums = {}
+                for proposal in result.proposals:
+                    sums[proposal.candidate] = sums.get(proposal.candidate, 0) + proposal.points
+                assert list(sums.items()) == list(result.all_scores.items()), (seed, config)
+                checked += 1
+    assert checked >= 100
 
 
 def test_an_unread_result_clones_equal_to_itself():
@@ -131,11 +150,6 @@ def test_unread_proposals_keep_the_breakdowns_of_their_own_run():
     results = resolve_discourse(d, lex, config)
     assert any(_pending(r) for r in results)
     resolve_discourse(d, lex, other)              # another pair's run caches
-    breakdowns = {}
     for result in results:
         assert result.proposals == _alone(result, d, lex, config)
-        for proposal in result.proposals:
-            if proposal.breakdown is not None:
-                key = dataclasses.astuple(proposal.breakdown)
-                assert breakdowns.setdefault(key, proposal.breakdown) is proposal.breakdown
-    assert breakdowns
+    assert any(p.breakdown is not None for r in results for p in r.proposals)

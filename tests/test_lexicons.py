@@ -198,6 +198,19 @@ def test_non_digit_thesaurus_code_names_the_file_and_line(tmp_path):
         f"{path}: line 3: thesaurus code for 'ie' must be a nonempty digit string")
 
 
+def test_case_frame_constraint_must_be_a_digit_string(tmp_path):
+    path = tmp_path / "caseframes.txt"
+    for bad in ("x1112", "1a", "12.3"):
+        path.write_text(f"verb neru\nslot case=ga constraints=11,{bad} examples=-\n",
+                        encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as excinfo:
+            load_case_frames(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 2: case-frame constraint {bad!r} must be a nonempty digit string")
+    path.write_text("verb neru\nslot case=ga constraints=11,- examples=-\n", encoding="utf-8")
+    assert load_case_frames(path).frames["neru"].slots[0].constraints == ("11",)
+
+
 def test_duplicate_case_names_the_line_of_the_second_slot(tmp_path):
     path = tmp_path / "caseframes.txt"
     path.write_text(

@@ -22,14 +22,10 @@ from bridgeref.lexicons import (
 )
 from bridgeref.resolver import (
     NOMINAL,
-    PSEUDO_INDEFINITE,
     RELATIONAL,
     SKIP,
     VERBAL,
-    Proposal,
-    ScoreBreakdown,
     Target,
-    _proposal,
     _run_caches,
     detect_targets,
     propose_no_antecedent,
@@ -361,45 +357,6 @@ def test_score_arithmetic_of_every_weighted_proposal(corpora, lexicons):
                 else:
                     assert proposal.points == (
                         b.weight - b.dist + b.definiteness + b.similarity)
-
-
-def test_equal_breakdowns_within_a_run_are_one_object(corpora, lexicons):
-    config = ResolverConfig()          # a config of its own starts new run caches
-    first_seen = {}                    # components -> (breakdown, result index)
-    shared_across_results = 0
-    results = [r for doc in corpora.values() for r in resolve_discourse(doc, lexicons, config)]
-    for index, result in enumerate(results):
-        for proposal in result.proposals:
-            if proposal.breakdown is None:
-                continue
-            breakdown, first = first_seen.setdefault(
-                dataclasses.astuple(proposal.breakdown), (proposal.breakdown, index))
-            assert proposal.breakdown is breakdown
-            shared_across_results += first != index
-    assert shared_across_results > 0
-
-
-def test_run_caches_map_score_components_to_their_breakdown(corpora, lexicons):
-    config = ResolverConfig()
-    results = [r for doc in corpora.values() for r in resolve_discourse(doc, lexicons, config)]
-    breakdowns = _run_caches(lexicons, config).breakdowns
-    assert not breakdowns              # looked up only when proposals are built
-    for result in results:
-        assert result.proposals
-    assert breakdowns
-    for key, breakdown in breakdowns.items():
-        assert type(key) is tuple and len(key) in (4, 5)
-        assert all(type(part) is int or part is None for part in key)
-        assert type(breakdown) is ScoreBreakdown and breakdown == ScoreBreakdown(*key)
-
-
-def test_fast_proposal_equals_the_public_constructor():
-    for candidate, breakdown in [(3, ScoreBreakdown(-5, 7, 15, 2)),
-                                 (PSEUDO_INDEFINITE, ScoreBreakdown(0, -30, None, None, 23))]:
-        fast = _proposal(candidate, 15, "R4", breakdown)
-        public = Proposal(candidate, 15, "R4", breakdown)
-        assert type(fast) is Proposal
-        assert fast == public and repr(fast) == repr(public) and hash(fast) == hash(public)
 
 
 HEAD_CYCLE = """
