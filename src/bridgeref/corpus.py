@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
+from itertools import takewhile
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
@@ -145,10 +146,13 @@ class Discourse:
 
     def preceding(self, phrase_id: int) -> Iterator[Phrase]:
         """Phrases strictly before the given one, in document order."""
-        for p in self.phrases():
-            if p.id >= phrase_id:
-                return
-            yield p
+        return takewhile(lambda p: p.id < phrase_id, self.phrases())
+
+
+def _check_anaphor(d: Discourse, anaphor: Phrase) -> None:
+    """Raise ValueError unless the anaphor is the document's own phrase."""
+    if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
+        raise ValueError(f"anaphor {anaphor.id} is not part of document {d.doc_id!r}")
 
 
 def _split_list(value: str) -> tuple[str, ...]:
@@ -310,28 +314,11 @@ def _parse_stream(text: str) -> Iterator[Discourse]:
     keeps only what it needs of each holds one document at a time.
     """
     doc_id: Optional[str] = None
-    sentences: list[Sentence] = []
-    current: Optional[list[Phrase]] = None
-    current_index = -1
+    sentences: list[list[Phrase]] = []
+    current: Optional[list[Phrase]] = None      # the open sentence's phrases
     split_list = functools.cache(_split_list)
     sound: set[tuple] = set()
     same = {}.setdefault
-
-    def close_sentence():
-        nonlocal current
-        if current is not None:
-            sentences.append(Sentence(index=current_index, phrases=tuple(current)))
-            current = None
-
-    def close_document() -> Discourse:
-        nonlocal sentences
-        close_sentence()
-        document = Discourse(doc_id=doc_id, sentences=tuple(sentences))
-        violations = _structure_violations(document)
-        if violations:
-            raise CorpusStructureError(f"document {doc_id!r}: {violations[0]}")
-        sentences = []
-        return document
 
     # Lines are popped off the reversed list, so each is freed once read;
     # the text itself is freed once split, when no caller holds it.
@@ -352,7 +339,8 @@ def _parse_stream(text: str) -> Iterator[Discourse]:
         directive = line.split(None, 1)[0] if line.startswith("#") else None
         if directive == "#DOC":
             if doc_id is not None:
-                yield close_document()
+                yield _document(doc_id, sentences)
+            sentences, current = [], None
             parts = line.split(None, 1)
             if len(parts) != 2 or not parts[1].strip():
                 raise CorpusFormatError(f"line {lineno}: #DOC needs a document id")
@@ -364,30 +352,41 @@ def _parse_stream(text: str) -> Iterator[Discourse]:
         if directive == "#SENT":
             if doc_id is None:
                 raise CorpusFormatError(f"line {lineno}: #SENT before any #DOC")
-            close_sentence()
             parts = line.split()
             if len(parts) != 2:
                 raise CorpusFormatError(f"line {lineno}: #SENT needs an index")
             try:
-                current_index = int(parts[1])
+                index = int(parts[1])
             except ValueError:
                 raise CorpusFormatError(
                     f"line {lineno}: #SENT index not an integer: {parts[1]!r}") from None
-            if current_index != len(sentences):
+            if index != len(sentences):
                 raise CorpusFormatError(
-                    f"line {lineno}: #SENT {current_index} out of order, "
+                    f"line {lineno}: #SENT {index} out of order, "
                     f"expected {len(sentences)}")
             current = []
+            sentences.append(current)
             continue
         if directive is not None:
             raise CorpusFormatError(f"line {lineno}: unknown directive {directive!r}")
-        if doc_id is None or current is None:
+        if current is None:
             raise CorpusFormatError(
                 f"line {lineno}: phrase record outside of a #DOC/#SENT block")
         current.append(_parse_record(line, lineno, split_list, sound, same))
 
     if doc_id is not None:
-        yield close_document()
+        yield _document(doc_id, sentences)
+
+
+def _document(doc_id: str, sentences: list[list[Phrase]]) -> Discourse:
+    """The document whose sentences hold these phrases, once its structure is checked."""
+    document = Discourse(doc_id=doc_id, sentences=tuple(
+        Sentence(index=index, phrases=tuple(phrases))
+        for index, phrases in enumerate(sentences)))
+    violations = _structure_violations(document)
+    if violations:
+        raise CorpusStructureError(f"document {doc_id!r}: {violations[0]}")
+    return document
 
 
 def parse_discourse(text: str) -> Discourse:
@@ -460,7 +459,6 @@ def _structure_violations(d: Discourse) -> list[str]:
                 f"(expected {expected})")
 
     ids = [p.id for sent in d.sentences for p in sent.phrases]
-    all_ids = set(ids)
     for previous_id, phrase_id in zip(ids, ids[1:]):
         if phrase_id <= previous_id:
             violations.append(
@@ -496,7 +494,7 @@ def _structure_violations(d: Discourse) -> list[str]:
             for gold in p.gold_antecedents:
                 if gold.antecedent_id is None:
                     continue
-                if gold.antecedent_id not in all_ids:
+                if not d.has_phrase(gold.antecedent_id):
                     violations.append(
                         f"phrase {p.id}: gold antecedent {gold.antecedent_id} does not exist")
                 elif gold.antecedent_id >= p.id:

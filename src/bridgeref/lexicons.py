@@ -19,6 +19,7 @@ Loaded lexicons are immutable and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from os.path import commonprefix
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
@@ -102,21 +103,12 @@ def load_thesaurus(path: Path | str) -> Thesaurus:
     return Thesaurus.from_entries(entries)
 
 
-def _shared_prefix_len(a: str, b: str) -> int:
-    n = 0
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            break
-        n += 1
-    return n
-
-
 def similarity_level(a: str, b: str, thesaurus: Thesaurus) -> int:
     """Deepest shared category level between two lemmas; 0 when unrelated or unknown."""
     best = 0
     for code_a in thesaurus.lookup(a):
         for code_b in thesaurus.lookup(b):
-            best = max(best, _shared_prefix_len(code_a, code_b))
+            best = max(best, len(commonprefix((code_a, code_b))))
     return best
 
 

@@ -50,7 +50,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional, Union
 
 from .config import ConfigError, ResolverConfig
-from .corpus import Discourse, Phrase
+from .corpus import Discourse, Phrase, _check_anaphor
 from .lexicons import (
     SURFACE_CASES,
     CaseSlot,
@@ -541,8 +541,7 @@ def resolve(
             raise ValueError(
                 f"verbal noun {anaphor.lemma!r} has no {slot!r} slot (has {slots})")
         raise ValueError(f"{mode} target does not take a case slot")
-    if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
-        raise ValueError(f"anaphor {anaphor.id} is not part of document {d.doc_id!r}")
+    _check_anaphor(d, anaphor)
     sweep = _Sweep(d, config, caches)
     for phrase in d.preceding(anaphor.id):
         sweep.add(phrase)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .corpus import PARTICLES, Discourse, Phrase
+from .corpus import PARTICLES, Discourse, Phrase, _check_anaphor
 
 TOPIC = "topic"
 FOCUS = "focus"
@@ -98,8 +98,7 @@ def salience_list(
     rows: Optional[Iterable[WeightRow]] = None,
 ) -> list[SalienceEntry]:
     """All classified phrases strictly preceding the anaphor, in document order."""
-    if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
-        raise ValueError(f"anaphor {anaphor.id} is not part of document {d.doc_id!r}")
+    _check_anaphor(d, anaphor)
     entries: list[SalienceEntry] = []
     all_rows = tuple(rows) if rows is not None else default_rows()
     for phrase in d.preceding(anaphor.id):
