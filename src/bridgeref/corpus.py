@@ -21,19 +21,23 @@ trailing ``,`` or ``.`` on the surface is stripped into ``punct_after``.
 ``gold`` is ``-`` or a comma-joined list of ``rel=<label>:<id>``,
 ``rel=<label>:NONE`` and bare ``rel=NONE`` items.
 
-One set of rules covers a phrase's own fields: a noun needs a known
-subtype, particles, clause roles and referential properties must be known
-values, a zero pronoun has surface ``*`` and a zero-pronoun particle, and
-no surface, lemma, part of speech, sem code or gold label holds a tab or a
-line break (any character ``str.splitlines`` ends a line at), which no
-field of the format can carry.  A gold label holds neither ``:`` nor ``,``,
-and a gold antecedent id has a label.  Parsed text never breaks these.
-Parsing reports the first broken rule as a ``CorpusFormatError`` naming the
-line and field; ``validate_discourse`` reports each as ``phrase <id>:`` and
-the same message.  Parsing then reports the first structural violation of
-each document as a ``CorpusStructureError``: dangling heads, head chains
-that never reach the sentence root (cycles, head-less sentences),
-non-increasing ids and gold antecedents that do not precede their phrase.
+One set of rules covers a phrase's own fields: a part of speech is given
+(not empty or ``-``), a noun needs a known subtype, particles, clause roles
+and referential properties must be known values, a zero pronoun has
+surface ``*`` and a zero-pronoun particle, and no surface, lemma, part of
+speech, sem code or gold label holds a tab or a line break (any character
+``str.splitlines`` ends a line at), which no field of the format can carry.
+A gold label holds neither ``:`` nor ``,``, and a gold antecedent id has a
+label.  Parsed text never breaks these.  Parsing reports the first broken
+rule as a ``CorpusFormatError`` naming the line and field;
+``validate_discourse`` reports each as ``phrase <id>:`` and the same
+message.  One rule on document ids serves both: ``#DOC`` carries an id
+that is one token with no whitespace around it, and ``validate_discourse``
+reports any other id first.  Parsing then reports the first structural
+violation of each document as a ``CorpusStructureError``: dangling heads,
+head chains that never reach the sentence root (cycles, head-less
+sentences), non-increasing ids and gold antecedents that do not precede
+their phrase.
 
 Parsing is a stream: each document is checked and handed on before the
 next one is read, and ``parse_corpus`` collects them into a list.  Documents
@@ -149,6 +153,11 @@ class Discourse:
         return takewhile(lambda p: p.id < phrase_id, self.phrases())
 
 
+def _is_doc_id(doc_id: str) -> bool:
+    """Whether ``#DOC <id>`` can carry the id: one token, without surrounding whitespace."""
+    return doc_id.split() == [doc_id]
+
+
 def _check_anaphor(d: Discourse, anaphor: Phrase) -> None:
     """Raise ValueError unless the anaphor is the document's own phrase."""
     if not d.has_phrase(anaphor.id) or d.phrase(anaphor.id) != anaphor:
@@ -233,9 +242,6 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
     if lemma == "-":
         lemma = ""
 
-    if pos == "-" or not pos:
-        raise CorpusFormatError(f"line {lineno}: field 'pos': missing")
-
     if head == "-":
         head_id = None
     else:
@@ -271,6 +277,8 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
 
 def _field_faults(p: Phrase) -> Iterator[tuple[str, str]]:
     """The rules on a phrase's own fields: (ADC field, message) per violation."""
+    if p.pos in ("", "-"):
+        yield "pos", "missing"
     if p.noun_subtype is not None and p.noun_subtype not in NOUN_SUBTYPES:
         yield "subtype", f"unknown noun subtype {p.noun_subtype!r}"
     elif p.pos == "noun" and p.noun_subtype is None:
@@ -341,11 +349,10 @@ def _parse_stream(text: str) -> Iterator[Discourse]:
             if doc_id is not None:
                 yield _document(doc_id, sentences)
             sentences, current = [], None
-            parts = line.split(None, 1)
-            if len(parts) != 2 or not parts[1].strip():
+            doc_id = line[len("#DOC"):].strip()
+            if not doc_id:
                 raise CorpusFormatError(f"line {lineno}: #DOC needs a document id")
-            doc_id = parts[1].strip()
-            if len(doc_id.split()) != 1:
+            if not _is_doc_id(doc_id):
                 raise CorpusFormatError(
                     f"line {lineno}: #DOC id must be one token, got {doc_id!r}")
             continue
@@ -445,8 +452,11 @@ def serialize_corpus(documents: list[Discourse]) -> str:
 
 def validate_discourse(d: Discourse) -> list[str]:
     """Return a list of invariant violations; empty when the document is sound."""
-    return [f"phrase {p.id}: {message}"
-            for p in d.phrases() for _, message in _field_faults(p)] + _structure_violations(d)
+    violations = [] if _is_doc_id(d.doc_id) else [
+        f"document id must be one token, got {d.doc_id!r}"]
+    violations += [f"phrase {p.id}: {message}"
+                   for p in d.phrases() for _, message in _field_faults(p)]
+    return violations + _structure_violations(d)
 
 
 def _structure_violations(d: Discourse) -> list[str]:

@@ -2,18 +2,22 @@
 
 All four resources are plain UTF-8 files with ``%`` comment lines:
 
-* thesaurus:      ``lemma<TAB>code`` where the code is a digit string and a
-                  shared prefix means a shared category (longer = closer).
+* thesaurus:      ``lemma<TAB>code`` where the code is a string of ASCII
+                  digits and a shared prefix means a shared category
+                  (longer = closer).
 * case frames:    blocks of ``verb <lemma>`` followed by
                   ``slot case=<c> constraints=<codes,> examples=<lemmas,>``
                   lines, plus ``vn <noun> -> <verb>`` mappings for verbal nouns;
-                  each constraint is a thesaurus code prefix (a digit string),
+                  each constraint is a thesaurus code prefix (ASCII digits),
+                  each verb has one block and each verbal noun one mapping,
                   and each mapped verb needs a block in the same file.
 * genitive pairs: ``x<TAB>y`` per line, one line per observed "X no Y" example.
 * noun attributes: ``lemma<TAB>flag[,flag...]`` with flags from
                   adjectival / numeral / temporal / non_anaphoric / relational.
 
-A line that breaks a rule is rejected as ``<file>: line <n>: <message>``.
+A line that breaks a rule is rejected as ``<file>: line <n>: <message>``;
+a repeated verb block or verbal-noun mapping names its earlier line too.
+A ``Thesaurus`` built in code is held to the same code rule.
 Loaded lexicons are immutable and safe to share between workers.
 """
 from __future__ import annotations
@@ -58,7 +62,7 @@ def _two_fields(line: str, form: str) -> tuple[str, str]:
 
 
 def _check_code(code: str, what: str) -> None:
-    if not code or not code.isdigit():
+    if not (code.isascii() and code.isdigit()):
         raise LexiconFormatError(f"{what} must be a nonempty digit string")
 
 
@@ -76,6 +80,7 @@ class Thesaurus:
         object.__setattr__(self, "codes", MappingProxyType(dict(self.codes)))
         for lemma, codes in self.codes.items():
             for code in codes:
+                _check_code(code, f"thesaurus code for {lemma!r}")
                 if len(code) > self.max_depth:
                     raise ValueError(f"thesaurus lemma {lemma!r} has code {code}, "
                                      f"longer than max_depth {self.max_depth}")
@@ -90,7 +95,6 @@ class Thesaurus:
         codes: dict[str, tuple[str, ...]] = {}
         max_depth = 0
         for lemma, code in entries:
-            _checked_entry(lemma, code)
             codes[lemma] = codes.get(lemma, ()) + (code,)
             max_depth = max(max_depth, len(code))
         return cls(codes=codes, max_depth=max_depth)
@@ -174,7 +178,7 @@ def _parse_kv(token: str, key: str) -> str:
 
 
 def load_case_frames(path: Path | str) -> CaseFrameDict:
-    blocks: list[tuple[str, list[CaseSlot]]] = []   # (verb, its slots), in file order
+    blocks: dict[str, tuple[list[CaseSlot], int]] = {}  # verb -> (its slots, line of its block)
     mapped: dict[str, tuple[str, int]] = {}     # verbal noun -> (verb, line of its mapping)
 
     def parse_line(lineno: int, line: str) -> None:
@@ -182,7 +186,10 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
         if tokens[0] == "verb":
             if len(tokens) != 2:
                 raise ValueError("expected 'verb <lemma>'")
-            blocks.append((tokens[1], []))
+            verb = tokens[1]
+            if verb in blocks:
+                raise ValueError(f"verb {verb!r} already has a block at line {blocks[verb][1]}")
+            blocks[verb] = [], lineno
         elif tokens[0] == "slot":
             if not blocks:
                 raise ValueError("slot outside a verb block")
@@ -200,20 +207,23 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
                 e for e in _parse_kv(tokens[3], "examples").split(",") if e and e != "-")
             if not constraints and not examples:
                 raise ValueError("slot needs constraints or examples")
-            verb, slots = blocks[-1]
+            verb = next(reversed(blocks))     # the open block is the last one
+            slots = blocks[verb][0]
             if any(s.surface_case == case for s in slots):
                 raise ValueError(f"duplicate surface case in frame {verb!r}")
             slots.append(CaseSlot(case, constraints, examples))
         elif tokens[0] == "vn":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise ValueError("expected 'vn <noun> -> <verb>'")
-            mapped[tokens[1]] = tokens[3], lineno
+            noun = tokens[1]
+            if noun in mapped:
+                raise ValueError(f"verbal noun {noun!r} is already mapped at line {mapped[noun][1]}")
+            mapped[noun] = tokens[3], lineno
         else:
             raise ValueError(f"unknown directive {tokens[0]!r}")
 
     _read(path, parse_line)
-    # A verb given two blocks keeps its first place and its last slots.
-    frames = {verb: VerbCaseFrame(verb, tuple(slots)) for verb, slots in blocks}
+    frames = {verb: VerbCaseFrame(verb, tuple(slots)) for verb, (slots, _) in blocks.items()}
     for noun, (verb, lineno) in mapped.items():
         if verb not in frames:
             raise LexiconFormatError(

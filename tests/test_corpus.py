@@ -325,7 +325,7 @@ def test_mutated_demo_lines_raise_only_corpus_errors():
 
 
 _GOOD_RECORD = ["1", "neko", "neko", "noun", "common", "ga", "2", "-", "-", "-", "-"]
-_COLUMNS = {"surface": 1, "lemma": 2, "subtype": 4, "particles": 5,
+_COLUMNS = {"surface": 1, "lemma": 2, "pos": 3, "subtype": 4, "particles": 5,
             "clause_role": 7, "refprop": 9}
 _ZERO = {"surface": "*", "lemma": "-", "subtype": "zero_pronoun"}
 _ZERO_PHRASE = {"surface": "", "lemma": "", "noun_subtype": "zero_pronoun"}
@@ -348,6 +348,8 @@ _ZERO_PHRASE = {"surface": "", "lemma": "", "noun_subtype": "zero_pronoun"}
                  id="unknown-clause-role"),
     pytest.param("refprop", {"refprop": "specific"}, {"ref_property": "specific"},
                  id="unknown-refprop"),
+    pytest.param("pos", {"pos": "-"}, {"pos": "-"}, id="pos-dash"),
+    pytest.param("pos", {"pos": ""}, {"pos": ""}, id="pos-empty"),
 ])
 def test_field_rule_reads_the_same_when_parsing_and_validating(field, record, fields):
     columns = list(_GOOD_RECORD)
@@ -383,6 +385,7 @@ _BAD_RECORDS = [
     ("particles", {**_ZERO, "particles": "-"}),
     ("clause_role", {"clause_role": "subject"}),
     ("refprop", {"refprop": "specific"}),
+    ("pos", {"pos": "-"}),
 ]
 
 
@@ -471,18 +474,19 @@ def test_field_text_is_rejected_unless_it_reads_back(char):
             assert parse_corpus(serialize_corpus([doc])) == [doc], name
 
 
+def _reads_back(doc):
+    try:
+        return parse_corpus(serialize_corpus([doc])) == [doc]
+    except CorpusFormatError:
+        return False
+
+
 def test_gold_items_are_rejected_unless_they_read_back():
     def doc_with(*gold):
         noun = make_phrase(2, lemma="yane", particles=("ga",), head=3, codes=("15",),
                            gold=gold)
         return _doc([make_phrase(1, lemma="ie", particles=("no",), head=2), noun,
                      make_phrase(3, lemma="mieru", pos="verb")])
-
-    def reads_back(doc):
-        try:
-            return parse_corpus(serialize_corpus([doc])) == [doc]
-        except CorpusFormatError:
-            return False
 
     separators = "holds ':' or ',', which separate gold items"
     faulty = {GoldAntecedent("a:b", 1): f"label 'a:b' {separators}",
@@ -492,10 +496,27 @@ def test_gold_items_are_rejected_unless_they_read_back():
     for item, message in faulty.items():
         doc = doc_with(item)
         assert validate_discourse(doc) == [f"phrase 2: {message}"]
-        assert not reads_back(doc), item
+        assert not _reads_back(doc), item
     for item in (GoldAntecedent("part", 1), GoldAntecedent("", 1), GoldAntecedent("NONE", 1),
                  GoldAntecedent("part", None), GoldAntecedent("NONE", None),
                  GoldAntecedent(None, None)):
         doc = doc_with(item, GoldAntecedent("x", 1))
         assert validate_discourse(doc) == []
-        assert reads_back(doc), item
+        assert _reads_back(doc), item
+
+
+def test_a_document_id_or_pos_reads_back_unless_validate_discourse_reports_it():
+    # The parser and validate_discourse share one rule on each.
+    noun = make_phrase(1, lemma="neko", particles=("ga",), head=2)
+    verb = make_phrase(2, lemma="neru", pos="verb")
+    for doc_id in ("a b", "", " a", "a ", "a\tb", "a\u00a0b", "a\u2028b", "a\x1fb",
+                   "a", "rate.1", "#x", "%x", "-", "a\x00b"):
+        doc = dataclasses.replace(_doc([noun, verb]), doc_id=doc_id)
+        faults = validate_discourse(doc)
+        assert faults in ([], [f"document id must be one token, got {doc_id!r}"])
+        assert _reads_back(doc) == (not faults), repr(doc_id)
+    for pos in ("", "-", "verb", "-x", "x-", "no un", "*"):
+        doc = _doc([dataclasses.replace(noun, pos=pos, noun_subtype=None), verb])
+        faults = validate_discourse(doc)
+        assert faults in ([], ["phrase 1: missing"])
+        assert _reads_back(doc) == (not faults), repr(pos)

@@ -250,3 +250,53 @@ def test_case_frame_loader_rejects_verbal_noun_without_its_verb(tmp_path):
     path.write_text("vn kaki -> kaku\nverb kaku\nslot case=ga constraints=1 examples=-\n",
                     encoding="utf-8")
     assert load_case_frames(path).verbal_nouns == {"kaki": "kaku"}
+
+
+@pytest.mark.parametrize("code", ["1a", "1²", "١٢", ""])
+def test_a_thesaurus_built_in_code_takes_only_ascii_digit_codes(code):
+    with pytest.raises(LexiconFormatError) as excinfo:
+        Thesaurus(codes={"kuni": ("1253",), "ie": (code,)}, max_depth=4)
+    assert str(excinfo.value) == "thesaurus code for 'ie' must be a nonempty digit string"
+    with pytest.raises(LexiconFormatError):
+        Thesaurus.from_entries([("ie", code)])
+
+
+@pytest.mark.parametrize("code", ["1²", "١٢"])
+def test_non_ascii_digits_are_rejected_naming_the_line(tmp_path, code):
+    thesaurus = tmp_path / "thesaurus.tsv"
+    thesaurus.write_text(f"kuni\t1253\nie\t{code}\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as excinfo:
+        load_thesaurus(thesaurus)
+    assert str(excinfo.value) == (
+        f"{thesaurus}: line 2: thesaurus code for 'ie' must be a nonempty digit string")
+    frames = tmp_path / "caseframes.txt"
+    frames.write_text(f"verb neru\nslot case=ga constraints=11,{code} examples=-\n",
+                      encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as excinfo:
+        load_case_frames(frames)
+    assert str(excinfo.value) == (
+        f"{frames}: line 2: case-frame constraint {code!r} must be a nonempty digit string")
+
+
+def test_a_repeated_verb_block_is_rejected_naming_both_lines(tmp_path):
+    path = tmp_path / "caseframes.txt"
+    path.write_text(
+        "verb miru\nslot case=ga constraints=1112 examples=-\n"
+        "slot case=wo constraints=15 examples=-\n"
+        "verb kaku\nslot case=ga constraints=1112 examples=-\n"
+        "verb miru\nslot case=de constraints=171 examples=-\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as excinfo:
+        load_case_frames(path)
+    assert str(excinfo.value) == f"{path}: line 6: verb 'miru' already has a block at line 1"
+
+
+def test_a_repeated_verbal_noun_mapping_is_rejected_naming_both_lines(tmp_path):
+    path = tmp_path / "caseframes.txt"
+    path.write_text(
+        "verb miru\nslot case=ga constraints=1112 examples=-\n"
+        "verb suru\nslot case=ga constraints=1112 examples=-\n"
+        "vn kenbutsu -> miru\n% the same noun again\nvn kenbutsu -> suru\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as excinfo:
+        load_case_frames(path)
+    assert str(excinfo.value) == (
+        f"{path}: line 7: verbal noun 'kenbutsu' is already mapped at line 5")
