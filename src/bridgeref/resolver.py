@@ -36,11 +36,12 @@ A candidate's points go straight into its target's totals.  The R4/R5
 ``bridgeref resolve`` never does.
 
 What depends only on the lexicons and the config (target modes, salience
-classes and similarity scores) is cached for as long as the same
-``LexiconSet`` and ``ResolverConfig`` objects are passed, so a run over many
-documents computes each of them once.  Both objects are immutable, which
-makes the cache sound.  It is keyed by lemmas, particles and case slots,
-and never holds a phrase, a document or a position in one.
+classes, the R4/R5 score rules and their scores) is held by one ``_Run``
+for as long as the same ``LexiconSet`` and ``ResolverConfig`` objects are
+passed, so a run over many documents computes each of them once.  Both
+objects are immutable, which makes its caches sound.  They are keyed by
+lemmas, particles and case slots, and never hold a phrase, a document or a
+position in one.
 """
 from __future__ import annotations
 
@@ -304,29 +305,6 @@ def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
     ]
 
 
-class _RunCaches:
-    """What the resolver derives from one lexicon set and one config alone."""
-
-    __slots__ = ("rows", "targets", "salience", "scores")
-
-    def __init__(self, rows: tuple) -> None:
-        self.rows = rows                                # salience weight rows
-        # (pos, noun_subtype, lemma) -> _classify_target's mode, frame, slots
-        self.targets: dict[tuple, tuple] = {}
-        # (pos, noun_subtype, particles, punct_after) -> (kind, weight) or None
-        self.salience: dict[tuple, Optional[tuple[str, int]]] = {}
-        # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
-        self.scores: dict[object, dict[tuple, Optional[int]]] = {}
-
-    def target(self, phrase: Phrase, lex: LexiconSet
-               ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
-        key = phrase.pos, phrase.noun_subtype, phrase.lemma
-        found = self.targets.get(key)
-        if found is None:
-            found = self.targets[key] = _classify_target(phrase, lex)
-        return found
-
-
 def _check_depths(lex: LexiconSet, config: ResolverConfig) -> None:
     """Reject a lexicon code longer than the similarity table's top level.
 
@@ -348,20 +326,70 @@ def _check_depths(lex: LexiconSet, config: ResolverConfig) -> None:
         raise ConfigError(f"{faults[0]}, deeper than the similarity table (levels 0..{top})")
 
 
-# (lex, config, caches) of the last pair passed.  The strong references keep
-# the two objects, and so their ids, alive while the caches are held.
-_run: tuple = (None, None, None)
+class _Run:
+    """What the resolver derives from one lexicon set and one config alone."""
 
+    __slots__ = ("lex", "config", "rows", "targets", "salience", "scores")
 
-def _run_caches(lex: LexiconSet, config: ResolverConfig) -> _RunCaches:
-    """The caches of this lexicon set and config, new unless both were the last pair."""
-    global _run
-    held_lex, held_config, caches = _run
-    if held_lex is not lex or held_config is not config:
+    def __init__(self, lex: LexiconSet, config: ResolverConfig) -> None:
         _check_depths(lex, config)
-        caches = _RunCaches(default_rows() + config.extra_weight_rows)
-        _run = (lex, config, caches)
-    return caches
+        self.lex, self.config = lex, config
+        self.rows = default_rows() + config.extra_weight_rows   # salience weight rows
+        # (pos, noun_subtype, lemma) -> _classify_target's mode, frame, slots
+        self.targets: dict[tuple, tuple] = {}
+        # (pos, noun_subtype, particles, punct_after) -> (kind, weight) or None
+        self.salience: dict[tuple, Optional[tuple[str, int]]] = {}
+        # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
+        self.scores: dict[object, dict[tuple, Optional[int]]] = {}
+
+    def target(self, phrase: Phrase
+               ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
+        key = phrase.pos, phrase.noun_subtype, phrase.lemma
+        found = self.targets.get(key)
+        if found is None:
+            found = self.targets[key] = _classify_target(phrase, self.lex)
+        return found
+
+    def scorer(self, source: Union[str, CaseSlot]) -> Callable[[Phrase], Optional[int]]:
+        """A candidate's similarity score for one source, or None to exclude it.
+
+        An anaphor lemma scores by R4's "X no Y" similarity, a case slot by
+        R5's constraint; with semantics off, a candidate not excluded scores 0.
+        """
+        lex, config, cache = self.lex, self.config, self.scores.setdefault(source, {})
+
+        def score(candidate: Phrase) -> Optional[int]:
+            key = candidate.lemma, candidate.sem_codes
+            if key not in cache:
+                if isinstance(source, CaseSlot):
+                    ok, sim = satisfies_constraint(
+                        candidate, source, lex.thesaurus, config.similarity_table,
+                        config.example_match_min_level)
+                    cache[key] = (sim if config.semantics else 0) if ok else None
+                elif config.semantics:
+                    best = max((similarity_level(candidate.lemma, x, lex.thesaurus)
+                                for x in xnoy_modifier_set(source, lex.xnoy, lex.attrs)),
+                               default=0)
+                    cache[key] = similarity_score(best, config.similarity_table)
+                else:
+                    cache[key] = 0
+            return cache[key]
+
+        return score
+
+
+# The run of the last pair passed.  Its strong references keep the lexicon
+# set and the config, and so their ids, alive while it is held.
+_run: Optional[_Run] = None
+
+
+def _run_caches(lex: LexiconSet, config: ResolverConfig) -> _Run:
+    """The run of this lexicon set and config, new unless both were the last pair."""
+    global _run
+    run = _run
+    if run is None or run.lex is not lex or run.config is not config:
+        run = _run = _Run(lex, config)
+    return run
 
 
 def propose_no_antecedent(prop: str, config: ResolverConfig) -> list[Proposal]:
@@ -401,22 +429,20 @@ class _Sweep:
     """What one document holds before the phrase being resolved.
 
     Phrases are added in document order.  Salience classes and scores come
-    from run caches, which last while the same lexicon set and config are
-    passed.  The sweep takes their dicts once, when it is built, so a
-    sweep never mixes the caches of two configs.
+    from the run the sweep is built with, so a sweep never mixes the caches
+    of two configs.
     """
 
-    def __init__(self, d: Discourse, config: ResolverConfig, caches: _RunCaches):
-        self.d, self.config, self.rows = d, config, caches.rows
-        self.classes = caches.salience
-        self.scores = caches.scores
+    def __init__(self, d: Discourse, run: _Run):
+        self.d, self.run = d, run
+        self.classes, self.rows = run.salience, run.rows
         # (phrase, kind, weight, index among entries of its kind) of every
         # salience entry but zero pronouns, which only count towards distance.
         self.entries: list[tuple[Phrase, str, int, int]] = []
         self.counts: dict[str, int] = {}                # entries so far, per kind
         self.lemmas: set[str] = set()                   # non-empty lemmas so far
         self.nouns: dict[str, list[Phrase]] = {}        # lemma -> noun phrases
-        # score source (see self.scores) -> score of each entry, in entry order
+        # score source (see _Run.scorer) -> score of each entry, in entry order
         self.sims: dict[object, list[Optional[int]]] = {}
 
     def add(self, phrase: Phrase) -> None:
@@ -440,43 +466,24 @@ class _Sweep:
         return [Proposal(p.id, points, rule) for p in self.nouns.get(lemma, ())]
 
     def resolve(self, anaphor: Phrase, mode: str, frame: Optional[VerbCaseFrame],
-                slot: Optional[str], lex: LexiconSet) -> ResolutionResult:
-        config = self.config
+                slot: Optional[str]) -> ResolutionResult:
+        config = self.run.config
         prop, p_score = _referential_property(anaphor, self.lemmas, config)
         direct_proposals: list[Proposal] = []
         if mode != VERBAL and prop == "definite":
             direct_proposals = self.mentions(anaphor.lemma, config.identity_points, "R1")
         proposals = direct_proposals + propose_no_antecedent(prop, config)
 
-        case_slot = weighted = None
+        source = None
         if mode == NOMINAL:
-            def similarity(candidate: Phrase) -> int:
-                if not config.semantics:
-                    return 0
-                modifiers = xnoy_modifier_set(anaphor.lemma, lex.xnoy, lex.attrs)
-                best = max((similarity_level(candidate.lemma, x, lex.thesaurus)
-                            for x in modifiers), default=0)
-                return similarity_score(best, config.similarity_table)
-
-            weighted = self._weighted(
-                anaphor, proposals, p_score, "R4", anaphor.lemma, similarity)
+            source = anaphor.lemma
         elif mode == VERBAL:
-            case_slot = frame.slot(slot)
+            source = frame.slot(slot)
         elif (modified := _genitive_head(anaphor, self.d)) is not None:
             proposals.extend(self.mentions(modified.lemma, config.relational_points, "R6"))
         else:
-            case_slot = _governing_slot(anaphor, self.d, lex)
-
-        if case_slot is not None:
-            def fit(candidate: Phrase) -> Optional[int]:
-                ok, sim = satisfies_constraint(
-                    candidate, case_slot, lex.thesaurus, config.similarity_table,
-                    config.example_match_min_level)
-                if not ok:
-                    return None
-                return sim if config.semantics else 0
-
-            weighted = self._weighted(anaphor, proposals, p_score, "R5", case_slot, fit)
+            source = _governing_slot(anaphor, self.d, self.run.lex)
+        weighted = None if source is None else self._weighted(anaphor, proposals, p_score, source)
 
         totals: dict[Candidate, int] = {}
         for proposal in proposals:
@@ -495,27 +502,19 @@ class _Sweep:
         return ResolutionResult(anaphor.id, slot, winner, total, totals,
                                 tuple(proposals) if weighted is None else weighted, direct)
 
-    def _weighted(self, anaphor: Phrase, eager: list[Proposal], p_score: int, rule: str,
-                  source, compute: Callable[[Phrase], Optional[int]]) -> _WeightedProposals:
+    def _weighted(self, anaphor: Phrase, eager: list[Proposal], p_score: int,
+                  source: Union[str, CaseSlot]) -> _WeightedProposals:
         """The R4/R5 candidates of one target: its subject path and topics/foci.
 
-        ``compute`` returns a candidate's similarity score, or None when the
-        candidate must be excluded; it runs once per run cache, source, and
-        candidate lemma and codes.  Each entry is scored once per source,
-        when the first target after it asks for that source.
+        Each entry is scored once per source, when the first target after it
+        asks for that source.
         """
-        cache = self.scores.setdefault(source, {})
-
-        def score(candidate: Phrase) -> Optional[int]:
-            key = candidate.lemma, candidate.sem_codes
-            if key not in cache:
-                cache[key] = compute(candidate)
-            return cache[key]
-
+        score = self.run.scorer(source)
         sims = self.sims.setdefault(source, [])
         sims.extend(score(entry[0]) for entry in self.entries[len(sims):])
         subjects = [(p.id, score(p)) for p in _subject_path(anaphor, self.d)]
-        return _WeightedProposals(tuple(eager), rule, p_score, self.config.subject_base,
+        rule = "R5" if isinstance(source, CaseSlot) else "R4"
+        return _WeightedProposals(tuple(eager), rule, p_score, self.run.config.subject_base,
                                   subjects, self.entries, dict(self.counts), sims)
 
 
@@ -531,9 +530,8 @@ def resolve(
     Ties go to the most recent real candidate; pseudo candidates lose every
     tie against a real phrase.
     """
-    config = config or _DEFAULT_CONFIG
-    caches = _run_caches(lex, config)
-    mode, frame, slots = caches.target(anaphor, lex)
+    run = _run_caches(lex, config or _DEFAULT_CONFIG)
+    mode, frame, slots = run.target(anaphor)
     if mode == SKIP:
         raise ValueError(f"phrase {anaphor.id} is not an anaphora target")
     if slot not in slots:
@@ -542,23 +540,23 @@ def resolve(
                 f"verbal noun {anaphor.lemma!r} has no {slot!r} slot (has {slots})")
         raise ValueError(f"{mode} target does not take a case slot")
     _check_anaphor(d, anaphor)
-    sweep = _Sweep(d, config, caches)
+    sweep = _Sweep(d, run)
     for phrase in d.preceding(anaphor.id):
         sweep.add(phrase)
-    return sweep.resolve(anaphor, mode, frame, slot, lex)
+    return sweep.resolve(anaphor, mode, frame, slot)
 
 
 def _resolve_stream(d: Discourse, lex: LexiconSet,
                     config: ResolverConfig) -> Iterator[ResolutionResult]:
     """Each non-skipped target's result, in document order, as soon as it is resolved."""
-    caches = _run_caches(lex, config)
-    sweep = _Sweep(d, config, caches)
-    target = caches.target
+    run = _run_caches(lex, config)
+    sweep = _Sweep(d, run)
+    target = run.target
     for phrase in d.phrases():
-        mode, frame, slots = target(phrase, lex)
+        mode, frame, slots = target(phrase)
         if mode != SKIP:
             for slot in slots:
-                yield sweep.resolve(phrase, mode, frame, slot, lex)
+                yield sweep.resolve(phrase, mode, frame, slot)
         sweep.add(phrase)
 
 
