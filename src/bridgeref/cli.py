@@ -1,7 +1,10 @@
 """Command line front end: resolve, explain, eval, build-dict.
 
 Every command reads its corpus as a stream, one document at a time, so a
-run's memory grows with its largest document, not with the corpus.  What is
+run's memory grows with its largest document, not with the corpus.  The
+resolver's run caches are the exception: they keep one target-mode entry
+per distinct word class and lemma for the whole run, so a corpus whose
+documents share no lemmas grows them with every document.  What is
 needed for every document is read first: ``resolve`` and ``explain`` read
 the config, then the lexicons, then the corpus; ``eval`` reads the
 predictions, then the corpus, and scores each document's units as that

@@ -165,9 +165,9 @@ def _check_anaphor(d: Discourse, anaphor: Phrase) -> None:
 
 
 def _split_list(value: str) -> tuple[str, ...]:
-    if value in ("-", "", "none"):
+    if value in ("-", ""):
         return ()
-    return tuple(item for item in value.split(",") if item and item != "none")
+    return tuple(item for item in value.split(",") if item)
 
 
 def _parse_gold(value: str, lineno: int) -> tuple[GoldAntecedent, ...]:

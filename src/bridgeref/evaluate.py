@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .corpus import Discourse
+from .corpus import Discourse, _is_doc_id
+from .lexicons import SURFACE_CASES
 from .resolver import ResolutionResult
 
 NONE_FIELD = "NONE"
@@ -40,8 +41,17 @@ def predictions_from_results(
 
 
 def serialize_predictions(predictions: Iterable[Prediction]) -> str:
+    """Predictions as the text ``parse_predictions`` reads back unchanged.
+
+    A document id that ``#DOC`` cannot carry, or a slot that is neither None
+    nor a surface case, would not read back, so it raises ``ValueError``.
+    """
     lines = ["% doc\tanaphor\tslot\twinner\ttotal"]
     for p in predictions:
+        if not _is_doc_id(p.doc_id):
+            raise ValueError(f"{p!r}: document id must be one token")
+        if p.slot is not None and p.slot not in SURFACE_CASES:
+            raise ValueError(f"{p!r}: slot must be None or a surface case")
         lines.append("\t".join([
             p.doc_id,
             str(p.anaphor_id),

@@ -17,8 +17,10 @@ All four resources are plain UTF-8 files with ``%`` comment lines:
 
 A line that breaks a rule is rejected as ``<file>: line <n>: <message>``;
 a repeated verb block or verbal-noun mapping names its earlier line too.
-A ``Thesaurus`` built in code is held to the same code rule.
-Loaded lexicons are immutable and safe to share between workers.
+A ``Thesaurus`` built in code is held to the same code rule.  Lexicon
+objects, loaded or built in code, keep their collections as tuples and
+frozensets of their own, so they are immutable and safe to share between
+workers; a string where such a collection belongs is rejected.
 """
 from __future__ import annotations
 
@@ -66,6 +68,16 @@ def _check_code(code: str, what: str) -> None:
         raise LexiconFormatError(f"{what} must be a nonempty digit string")
 
 
+def _collection(values: Iterable, container: type, what: str):
+    """``values`` as a ``container`` of their own, so no caller's object is kept.
+
+    A string is an iterable too, but never a collection of lexicon values.
+    """
+    if isinstance(values, str):
+        raise TypeError(f"{what} must be a collection, not a string: {values!r}")
+    return container(values)
+
+
 def _checked_entry(lemma: str, code: str) -> tuple[str, str]:
     _check_code(code, f"thesaurus code for {lemma!r}")
     return lemma, code
@@ -77,7 +89,9 @@ class Thesaurus:
     max_depth: int                         # no code is longer
 
     def __post_init__(self):
-        object.__setattr__(self, "codes", MappingProxyType(dict(self.codes)))
+        object.__setattr__(self, "codes", MappingProxyType({
+            lemma: _collection(codes, tuple, f"thesaurus codes for {lemma!r}")
+            for lemma, codes in self.codes.items()}))
         for lemma, codes in self.codes.items():
             for code in codes:
                 _check_code(code, f"thesaurus code for {lemma!r}")
@@ -131,11 +145,20 @@ class CaseSlot:
     constraints: tuple[str, ...]     # thesaurus code prefixes
     example_nouns: tuple[str, ...]
 
+    def __post_init__(self):
+        for name in ("constraints", "example_nouns"):
+            object.__setattr__(self, name, _collection(
+                getattr(self, name), tuple, f"case slot {self.surface_case!r} {name}"))
+
 
 @dataclass(frozen=True)
 class VerbCaseFrame:
     verb_lemma: str
     slots: tuple[CaseSlot, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "slots", _collection(
+            self.slots, tuple, f"case frame {self.verb_lemma!r} slots"))
 
     def slot(self, surface_case: str) -> Optional[CaseSlot]:
         for s in self.slots:
@@ -240,6 +263,9 @@ class XnoYStore:
         init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(
+            _collection(pair, tuple, "xnoy pair")
+            for pair in _collection(self.pairs, tuple, "xnoy pairs")))
         by_y: dict[str, list[str]] = {}
         for x, y in self.pairs:
             by_y.setdefault(y, []).append(x)
@@ -263,7 +289,9 @@ class NounAttributes:
     flags: Mapping[str, frozenset[str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "flags", MappingProxyType(dict(self.flags)))
+        object.__setattr__(self, "flags", MappingProxyType({
+            lemma: _collection(flags, frozenset, f"noun attribute flags for {lemma!r}")
+            for lemma, flags in self.flags.items()}))
 
     __reduce__ = reduce_by_fields
 

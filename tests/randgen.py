@@ -20,6 +20,7 @@ from bridgeref.lexicons import (
     VerbCaseFrame,
     XnoYStore,
 )
+from bridgeref.salience import parse_weight_row
 
 NOUN_LEMMAS = [
     "ringo", "mizu", "hon", "neko", "inu", "machi", "mura", "kawa",
@@ -115,6 +116,34 @@ def random_lexicons(rng: random.Random) -> LexiconSet:
         case_frames=case_frames,
         xnoy=XnoYStore(pairs=tuple(pairs)),
         attrs=attrs,
+    )
+
+
+def random_config(rng: random.Random) -> ResolverConfig:
+    """A config with every score, constant and weight row drawn at random.
+
+    The similarity table has 6 to 8 levels, enough for the 5-digit codes of
+    ``random_lexicons``; semantics are off about one time in five.
+    """
+    levels = rng.randint(6, 8)
+    rows = []
+    for _ in range(rng.randint(0, 3)):
+        particles = ",".join(rng.sample(PARTICLE_POOL, rng.randint(0, 3)))
+        punct = ":punct" if not particles or rng.random() < 0.3 else ""
+        rows.append(parse_weight_row(
+            rng.choice(("topic", "focus")),
+            f"{rng.choice(('noun', 'pronoun'))}:{particles}{punct}", rng.randint(-30, 40)))
+    return ResolverConfig(
+        definiteness={prop: rng.randint(-20, 20)
+                      for prop in ("definite", "indefinite", "generic")},
+        similarity_table=dict(enumerate(sorted(rng.randint(-40, 40) for _ in range(levels)))),
+        subject_base=rng.randint(-30, 50),
+        identity_points=rng.randint(-30, 50),
+        relational_points=rng.randint(-30, 50),
+        pseudo_points=rng.randint(-30, 50),
+        example_match_min_level=rng.randrange(levels),
+        semantics=rng.random() >= 0.2,
+        extra_weight_rows=tuple(rows),
     )
 
 

@@ -56,6 +56,17 @@ def test_comma_surface_round_trip():
     assert parse_discourse(serialize_discourse(doc)) == doc
 
 
+def test_none_is_a_list_item_like_any_other_not_an_absent_marker():
+    doc = _doc([make_phrase(1, lemma="ie", codes=("none",), head=3),
+                make_phrase(2, lemma="kuni", codes=("none", "12"), head=3),
+                make_phrase(3, lemma="neru", pos="verb")])
+    assert validate_discourse(doc) == []
+    assert parse_discourse(serialize_discourse(doc)) == doc
+    with pytest.raises(CorpusFormatError,
+                       match="^line 3: field 'particles': unknown particle 'none'$"):
+        parse_discourse("#DOC t\n#SENT 0\n1\tie\tie\tnoun\tcommon\tnone\t-\t-\t-\t-\t-\n")
+
+
 def test_dangling_head_is_a_structural_error():
     text = (
         "#DOC t\n#SENT 0\n"

@@ -124,6 +124,20 @@ def test_prediction_serialization_round_trip(corpora, lexicons):
     assert parse_predictions(serialize_predictions(predictions)) == predictions
 
 
+@pytest.mark.parametrize("prediction, fault", [
+    (Prediction("a\tb", 3, None, None, 0), "document id must be one token"),
+    (Prediction("a b", 3, None, None, 0), "document id must be one token"),
+    (Prediction("", 3, None, None, 0), "document id must be one token"),
+    (Prediction("a", 3, "g\ta", 1, 0), "slot must be None or a surface case"),
+    (Prediction("a", 3, "-", 1, 0), "slot must be None or a surface case"),
+    (Prediction("a", 3, "", 1, 0), "slot must be None or a surface case"),
+])
+def test_a_prediction_that_would_not_read_back_is_not_serialised(prediction, fault):
+    with pytest.raises(ValueError) as excinfo:
+        serialize_predictions([Prediction("rate", 8, None, 7, 25), prediction])
+    assert str(excinfo.value) == f"{prediction!r}: {fault}"
+
+
 def test_prediction_parser_rejects_short_lines():
     with pytest.raises(ValueError, match="5 fields"):
         parse_predictions("rate\t8\t-\t7\n")

@@ -6,7 +6,14 @@ import pickle
 import pytest
 
 from bridgeref.config import ResolverConfig
-from bridgeref.lexicons import NounAttributes, Thesaurus
+from bridgeref.lexicons import (
+    CaseFrameDict,
+    CaseSlot,
+    NounAttributes,
+    Thesaurus,
+    VerbCaseFrame,
+    XnoYStore,
+)
 from bridgeref.resolver import detect_targets, resolve_discourse
 
 
@@ -51,6 +58,68 @@ def test_constructors_copy_the_dicts_they_are_given():
     assert replaced.similarity_table == {0: -30, 1: 10}
     with pytest.raises(TypeError):
         replaced.similarity_table[0] = 0
+
+
+
+def test_a_thesaurus_keeps_its_own_codes_not_the_callers_list():
+    codes = ["1253"]
+    thesaurus = Thesaurus(codes={"ie": codes}, max_depth=4)
+    codes.append("99999")
+    assert thesaurus.lookup("ie") == ("1253",)
+
+
+def test_an_xnoy_store_keeps_its_own_pairs_not_the_callers_list():
+    pairs = [("kuni", "kokki")]
+    store = XnoYStore(pairs=pairs)
+    pairs.append(("ie", "kokki"))
+    assert store.pairs == (("kuni", "kokki"),)
+    assert store.modifiers_of("kokki") == ("kuni",)
+
+
+def test_noun_attributes_keep_their_own_flags_not_the_callers_set():
+    flags = {"relational"}
+    attrs = NounAttributes(flags={"yane": flags})
+    flags.add("non_anaphoric")
+    assert not attrs.has("yane", "non_anaphoric")
+    assert attrs.flags["yane"] == frozenset({"relational"})
+
+
+def test_case_frames_built_from_lists_resolve_like_the_loaded_ones(corpora, lexicons, config):
+    frames = {verb: VerbCaseFrame(verb, [
+        CaseSlot(s.surface_case, list(s.constraints), list(s.example_nouns))
+        for s in frame.slots]) for verb, frame in lexicons.case_frames.frames.items()}
+    listed = dataclasses.replace(lexicons, case_frames=CaseFrameDict(
+        frames=frames, verbal_nouns=lexicons.case_frames.verbal_nouns))
+    for d in corpora.values():
+        assert resolve_discourse(d, listed, config) == resolve_discourse(d, lexicons, config)
+    assert listed == lexicons
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Thesaurus(codes={"kuni": ("1253",), "ie": "1253"}, max_depth=4),
+                 "thesaurus codes for 'ie' must be a collection, not a string: '1253'",
+                 id="thesaurus-codes"),
+    pytest.param(lambda: XnoYStore(pairs="kuni"),
+                 "xnoy pairs must be a collection, not a string: 'kuni'", id="xnoy-pairs"),
+    pytest.param(lambda: XnoYStore(pairs=("ab",)),
+                 "xnoy pair must be a collection, not a string: 'ab'", id="xnoy-pair"),
+    pytest.param(lambda: NounAttributes(flags={"yane": "relational"}),
+                 "noun attribute flags for 'yane' must be a collection, not a string: "
+                 "'relational'", id="attribute-flags"),
+    pytest.param(lambda: CaseSlot("ga", "15", ()),
+                 "case slot 'ga' constraints must be a collection, not a string: '15'",
+                 id="slot-constraints"),
+    pytest.param(lambda: CaseSlot("ga", (), "hito"),
+                 "case slot 'ga' example_nouns must be a collection, not a string: 'hito'",
+                 id="slot-examples"),
+    pytest.param(lambda: VerbCaseFrame("iku", "ga"),
+                 "case frame 'iku' slots must be a collection, not a string: 'ga'",
+                 id="frame-slots"),
+])
+def test_a_string_where_a_lexicon_collection_belongs_is_rejected(build, message):
+    with pytest.raises(TypeError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def test_read_only_objects_pickle_and_copy(corpora, lexicons, config):
