@@ -264,7 +264,8 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
     _set_ref_property(phrase, "auto" if refprop == "-" else same(refprop, refprop))
     _set_gold_antecedents(phrase, () if gold == "-" else _parse_gold(gold, lineno))
     # Everything _field_faults reads but the field text, which a split line
-    # cannot give a tab or line break, and the gold items, since _parse_gold
+    # cannot give a tab or line break and which the reading above never
+    # leaves a marker or a separator, and the gold items, since _parse_gold
     # cuts labels at ',' and ':' and reads no id without a label; a shape
     # that faulted is never added.
     shape = pos, subtype, particles, clause_role, refprop, not surface
@@ -302,6 +303,18 @@ def _field_faults(p: Phrase) -> Iterator[tuple[str, str]]:
         unwritable = _UNWRITABLE.search(text)
         if unwritable:
             yield name, f"holds {unwritable.group()!r}, which no field can carry"
+    # Text the reader takes for a marker or a separator.
+    if p.lemma == "-":
+        yield "lemma", "'-' reads back as no lemma"
+    if p.surface == "*" and not p.is_zero_pronoun():
+        yield "surface", "'*' reads back as a zero pronoun's empty surface"
+    if p.punct_after is None and p.surface[-1:] in _PUNCT_MAP:
+        yield "surface", f"ends in {p.surface[-1]!r}, which reads back as punctuation after it"
+    if p.sem_codes == ("-",):
+        yield "sem_codes", "'-' reads back as no codes"
+    for code in p.sem_codes:
+        if "," in code or not code:
+            yield "sem_codes", f"code {code!r} does not read back as one code"
     # A gold item is written as rel=<label>:<id>, rel=<label>:NONE or rel=NONE.
     for label, antecedent in p.gold_antecedents:
         if label is None and antecedent is not None:

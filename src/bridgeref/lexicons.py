@@ -146,9 +146,15 @@ class CaseSlot:
     example_nouns: tuple[str, ...]
 
     def __post_init__(self):
+        _check_case(self.surface_case)
         for name in ("constraints", "example_nouns"):
             object.__setattr__(self, name, _collection(
                 getattr(self, name), tuple, f"case slot {self.surface_case!r} {name}"))
+
+
+def _check_case(case: str) -> None:
+    if case not in SURFACE_CASES:
+        raise ValueError(f"unknown surface case {case!r}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +226,7 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
                 raise ValueError(
                     "expected 'slot case=<c> constraints=<codes,> examples=<lemmas,>'")
             case = _parse_kv(tokens[1], "case")
-            if case not in SURFACE_CASES:
-                raise ValueError(f"unknown surface case {case!r}")
+            _check_case(case)
             constraints = tuple(
                 c for c in _parse_kv(tokens[2], "constraints").split(",") if c and c != "-")
             for code in constraints:

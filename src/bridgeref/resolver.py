@@ -27,13 +27,18 @@ get a second topic/focus proposal.
 record of the text before it; ``resolve`` builds that record for one
 anaphor.  The pass is the generator ``_resolve_stream``, which yields each
 target's result as soon as it is resolved; ``resolve_discourse`` lists it.
-Each anaphor may score every earlier topic and focus, so a document's full
-results grow with the square of its length; the command line reads the
-stream and keeps only what it prints, so its memory grows with the document.
-A candidate's points go straight into its target's totals.  The R4/R5
+The paper's R4/R5 score every earlier topic and focus, but a winner is
+picked from few of them: each kind's entries are scanned newest first, and
+the scan stops once an entry's bound (the kind's top weight and the top
+similarity, less its distance) cannot beat the best total so far.  Earlier
+mentions of a repeated lemma score R1's fixed points alone unless they are
+on the subject path or salience entries, so only the newest such mention
+can win.  A target's cost thus grows with the candidates that can still
+win, not with the text before it.  Every candidate's total and the
 ``Proposal`` objects behind them are built only when a result's
-``proposals`` are first read, as ``bridgeref explain`` does and
-``bridgeref resolve`` never does.
+``all_scores`` or ``proposals`` are first read, as ``bridgeref explain``
+does and ``bridgeref resolve`` never does; the command line reads the
+stream and keeps only what it prints, so its memory grows with the document.
 
 What depends only on the lexicons and the config (target modes, salience
 classes, the R4/R5 score rules and their scores) is held by one ``_Run``
@@ -45,6 +50,7 @@ position in one.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from itertools import islice
@@ -108,13 +114,14 @@ class Target:
 
 @dataclass(frozen=True, slots=True)
 class ResolutionResult:
-    """The outcome of one target: every candidate's total, the winner, and
-    the proposals those totals add up.
+    """The outcome of one target: the winner and its total, every
+    candidate's total, and the proposals those totals add up.
 
-    The R4/R5 proposals of a result are built the first time ``proposals``
-    is read, under a lock, and kept: reads from any thread see one tuple
-    that never changes, and ``repr``, equality, copying and pickling see it
-    as an ordinary field.
+    ``winner``, ``total`` and ``direct`` are decided when the target is
+    resolved.  ``all_scores`` and ``proposals`` are built together the first
+    time either is read, under a lock, and kept: reads from any thread see
+    one dict and one tuple that never change, and ``repr``, equality,
+    copying and pickling see them as ordinary fields.
     """
     anaphor_id: int
     slot: Optional[str]
@@ -125,83 +132,74 @@ class ResolutionResult:
     direct: bool                       # winner carried a repeated-mention proposal
 
 
-class _WeightedProposals:
-    """A result's proposals, as held until they are first read.
+class _Detail:
+    """A result's ``all_scores`` and ``proposals``, as held until either is read.
 
-    ``eager`` holds the proposals of R1-R3; the R4/R5 ones come from the
-    target's subject path, as (phrase id, similarity) pairs, and from the
-    first ``count`` salience entries of its sweep with their similarities.
-    Both sweep lists only grow, so those items stay as they were when the
+    ``r1`` and ``r6`` are the noun list of a repeated or modified lemma and
+    its length when the target was resolved; the R4/R5 proposals come from
+    the target's subject path, as (phrase, similarity) pairs, and from
+    the first ``count`` salience entries of its sweep, scored by ``score``.
+    The sweep's lists only grow, so those items stay as they were when the
     target was resolved; ``counts`` is the count per kind of that moment.
     Nothing here refers to the sweep or the document.
     """
 
-    __slots__ = ("eager", "rule", "p_score", "base", "subjects", "count", "counts",
-                 "entries", "sims")
+    __slots__ = ("config", "prop", "p_score", "r1", "r6", "rule", "score", "subjects",
+                 "entries", "count", "counts")
 
-    def __init__(self, eager: tuple[Proposal, ...], rule: str, p_score: int, base: int,
-                 subjects: list[tuple[int, Optional[int]]],
-                 entries: list[tuple[Phrase, str, int, int]], counts: dict[str, int],
-                 sims: list[Optional[int]]):
-        self.eager, self.rule, self.p_score, self.base = eager, rule, p_score, base
-        self.subjects, self.count, self.counts = subjects, len(entries), counts
-        self.entries, self.sims = entries, sims
+    def __init__(self, config: ResolverConfig, prop: str, p_score: int,
+                 r1: tuple[list[Phrase], int], r6: tuple[list[Phrase], int]) -> None:
+        self.config, self.prop, self.p_score, self.r1, self.r6 = config, prop, p_score, r1, r6
+        self.score = None
 
-    def add_points(self, totals: dict[Candidate, int]) -> None:
-        """Add each weighted candidate's points to ``totals``, in proposal order."""
-        p_score, counts = self.p_score, self.counts
-        subject_ids = set()
-        for candidate, sim in self.subjects:
-            subject_ids.add(candidate)
-            if sim is not None:
-                totals[candidate] = totals.get(candidate, 0) + self.base + p_score + sim
-        get = totals.get
-        for (phrase, kind, weight, index), sim in zip(self.entries, self.sims):
-            if sim is None or (candidate := phrase.id) in subject_ids:
-                continue
-            dist = counts[kind] - index
-            totals[candidate] = get(candidate, 0) + weight - dist + p_score + sim
-
-    def build(self) -> tuple[Proposal, ...]:
-        """The proposals ``add_points`` counted, after the eager ones."""
-        proposals = list(self.eager)
-        append = proposals.append
-        rule, p_score, base, counts = self.rule, self.p_score, self.base, self.counts
-        subject_ids = set()
-        for candidate, sim in self.subjects:
-            subject_ids.add(candidate)
-            if sim is not None:
-                append(Proposal(candidate, base + p_score + sim, rule,
-                                ScoreBreakdown(p_score, sim, base=base)))
-        for (phrase, kind, weight, index), sim in zip(
-                islice(self.entries, self.count), self.sims):
-            if sim is None or phrase.id in subject_ids:
-                continue
-            dist = counts[kind] - index
-            append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
-                            ScoreBreakdown(p_score, sim, weight, dist)))
-        return tuple(proposals)
+    def build(self) -> tuple[dict[Candidate, int], tuple[Proposal, ...]]:
+        """The totals and the proposals they add up, in proposal order."""
+        config, p_score = self.config, self.p_score
+        proposals = [Proposal(p.id, config.identity_points, "R1") for p in islice(*self.r1)]
+        proposals += propose_no_antecedent(self.prop, config)
+        proposals += [Proposal(p.id, config.relational_points, "R6") for p in islice(*self.r6)]
+        if self.score is not None:
+            append, rule, base = proposals.append, self.rule, config.subject_base
+            subject_ids = set()
+            for phrase, sim in self.subjects:
+                subject_ids.add(phrase.id)
+                if sim is not None:
+                    append(Proposal(phrase.id, base + p_score + sim, rule,
+                                    ScoreBreakdown(p_score, sim, base=base)))
+            for phrase, kind, weight, index in islice(self.entries, self.count):
+                if phrase.id in subject_ids or (sim := self.score(phrase)) is None:
+                    continue
+                dist = self.counts[kind] - index
+                append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
+                                ScoreBreakdown(p_score, sim, weight, dist)))
+        totals: dict[Candidate, int] = {}
+        for proposal in proposals:
+            totals[proposal.candidate] = totals.get(proposal.candidate, 0) + proposal.points
+        return totals, tuple(proposals)
 
 
 class _BuiltOnFirstRead:
-    """``ResolutionResult.proposals``: the field's slot, which may hold a
-    ``_WeightedProposals`` until the first read stores its tuple there."""
+    """``ResolutionResult.all_scores`` or ``.proposals``: the field's slot,
+    which holds the result's ``_Detail`` until the first read of either
+    field stores what it builds in both."""
 
-    __slots__ = ("slot",)
+    __slots__ = ("slot", "index")
 
-    def __init__(self, slot) -> None:
-        self.slot = slot
+    def __init__(self, slot, index: int) -> None:
+        self.slot, self.index = slot, index
 
     def __get__(self, result, owner=None):
         if result is None:
             return self
         value = self.slot.__get__(result)
-        if type(value) is _WeightedProposals:
+        if type(value) is _Detail:
             with _build_lock:
                 value = self.slot.__get__(result)
-                if type(value) is _WeightedProposals:
-                    value = value.build()
-                    self.slot.__set__(result, value)
+                if type(value) is _Detail:
+                    built = value.build()
+                    for slot, part in zip(_LAZY_SLOTS, built):
+                        slot.__set__(result, part)
+                    value = built[self.index]
         return value
 
     def __set__(self, result, value) -> None:
@@ -209,7 +207,9 @@ class _BuiltOnFirstRead:
 
 
 _build_lock = threading.Lock()
-ResolutionResult.proposals = _BuiltOnFirstRead(ResolutionResult.proposals)
+_LAZY_SLOTS = ResolutionResult.all_scores, ResolutionResult.proposals
+ResolutionResult.all_scores = _BuiltOnFirstRead(_LAZY_SLOTS[0], 0)
+ResolutionResult.proposals = _BuiltOnFirstRead(_LAZY_SLOTS[1], 1)
 
 
 # Shared by every call that passes no config, so those calls share caches too.
@@ -329,12 +329,17 @@ def _check_depths(lex: LexiconSet, config: ResolverConfig) -> None:
 class _Run:
     """What the resolver derives from one lexicon set and one config alone."""
 
-    __slots__ = ("lex", "config", "rows", "targets", "salience", "scores")
+    __slots__ = ("lex", "config", "rows", "ceilings", "targets", "salience", "scores")
 
     def __init__(self, lex: LexiconSet, config: ResolverConfig) -> None:
         _check_depths(lex, config)
         self.lex, self.config = lex, config
         self.rows = default_rows() + config.extra_weight_rows   # salience weight rows
+        # kind -> the most an entry of the kind can score before its distance
+        # and definiteness: its top weight plus the top similarity score.
+        top_sim = max(config.similarity_table.values()) if config.semantics else 0
+        self.ceilings = {kind: top_sim + max(row.weight for row in self.rows if row.kind == kind)
+                         for kind in {row.kind for row in self.rows}}
         # (pos, noun_subtype, lemma) -> _classify_target's mode, frame, slots
         self.targets: dict[tuple, tuple] = {}
         # (pos, noun_subtype, particles, punct_after) -> (kind, weight) or None
@@ -392,13 +397,14 @@ def _run_caches(lex: LexiconSet, config: ResolverConfig) -> _Run:
     return run
 
 
+# R2/R3: generic and indefinite phrases may lack an antecedent.
+_PSEUDO = {"generic": (PSEUDO_GENERIC, "R2"), "indefinite": (PSEUDO_INDEFINITE, "R3")}
+
+
 def propose_no_antecedent(prop: str, config: ResolverConfig) -> list[Proposal]:
     """R2/R3: generic and indefinite phrases may lack an antecedent."""
-    if prop == "generic":
-        return [Proposal(PSEUDO_GENERIC, config.pseudo_points, "R2")]
-    if prop == "indefinite":
-        return [Proposal(PSEUDO_INDEFINITE, config.pseudo_points, "R3")]
-    return []
+    pseudo = _PSEUDO.get(prop)
+    return [] if pseudo is None else [Proposal(pseudo[0], config.pseudo_points, pseudo[1])]
 
 
 def _genitive_head(anaphor: Phrase, d: Discourse) -> Optional[Phrase]:
@@ -423,99 +429,155 @@ def _governing_slot(anaphor: Phrase, d: Discourse, lex: LexiconSet) -> Optional[
 
 
 _UNSEEN = object()
+_NO_MENTIONS = ((), 0)
 
 
 class _Sweep:
     """What one document holds before the phrase being resolved.
 
-    Phrases are added in document order.  Salience classes and scores come
-    from the run the sweep is built with, so a sweep never mixes the caches
-    of two configs.
+    Phrases are added in document order, and every list here only grows,
+    so a result's detail can hold a list and its length.  Salience classes
+    and scores come from the run the sweep is built with, so a sweep never
+    mixes the caches of two configs.
     """
 
     def __init__(self, d: Discourse, run: _Run):
         self.d, self.run = d, run
         self.classes, self.rows = run.salience, run.rows
         # (phrase, kind, weight, index among entries of its kind) of every
-        # salience entry but zero pronouns, which only count towards distance.
+        # salience entry but zero pronouns, which only count towards distance:
+        # in document order, and per kind.
         self.entries: list[tuple[Phrase, str, int, int]] = []
+        self.kinds: dict[str, list[tuple[Phrase, str, int, int]]] = {}
         self.counts: dict[str, int] = {}                # entries so far, per kind
         self.lemmas: set[str] = set()                   # non-empty lemmas so far
         self.nouns: dict[str, list[Phrase]] = {}        # lemma -> noun phrases
-        # score source (see _Run.scorer) -> score of each entry, in entry order
-        self.sims: dict[object, list[Optional[int]]] = {}
+        # (lemma, kind) -> those nouns that are entries of the kind; with kind
+        # None, those that are no entry, as phrases.
+        self.mentions: dict[tuple[str, Optional[str]], list] = {}
 
     def add(self, phrase: Phrase) -> None:
         shape = phrase.pos, phrase.noun_subtype, phrase.particles, phrase.punct_after
         classified = self.classes.get(shape, _UNSEEN)
         if classified is _UNSEEN:
             classified = self.classes[shape] = classify_salience(phrase, self.rows)
+        entry = kind = None
         if classified is not None:
             kind, weight = classified
             index = self.counts.get(kind, 0)
             self.counts[kind] = index + 1
-            if not phrase.is_zero_pronoun():
-                self.entries.append((phrase, kind, weight, index))
+            if phrase.is_zero_pronoun():
+                kind = None
+            else:
+                entry = phrase, kind, weight, index
+                self.entries.append(entry)
+                self.kinds.setdefault(kind, []).append(entry)
         if phrase.lemma:
             self.lemmas.add(phrase.lemma)
             if phrase.is_noun():
                 self.nouns.setdefault(phrase.lemma, []).append(phrase)
-
-    def mentions(self, lemma: str, points: int, rule: str) -> list[Proposal]:
-        """R1/R6: one fixed proposal per earlier noun phrase with the lemma."""
-        return [Proposal(p.id, points, rule) for p in self.nouns.get(lemma, ())]
+                self.mentions.setdefault((phrase.lemma, kind), []).append(entry or phrase)
 
     def resolve(self, anaphor: Phrase, mode: str, frame: Optional[VerbCaseFrame],
                 slot: Optional[str]) -> ResolutionResult:
-        config = self.run.config
-        prop, p_score = _referential_property(anaphor, self.lemmas, config)
-        direct_proposals: list[Proposal] = []
-        if mode != VERBAL and prop == "definite":
-            direct_proposals = self.mentions(anaphor.lemma, config.identity_points, "R1")
-        proposals = direct_proposals + propose_no_antecedent(prop, config)
+        """Decide the winner from the candidates that can still win.
 
-        source = None
+        Each candidate's total is exact; a candidate is left out only when a
+        bound shows that it scores below the best so far, or ties it and
+        loses the tie-break.  ``all_scores`` and ``proposals`` are left to the
+        result's ``_Detail``.
+        """
+        run, config = self.run, self.run.config
+        prop, p_score = _referential_property(anaphor, self.lemmas, config)
+        identity = config.identity_points
+        # R1's lemma: a definite anaphor that is not a verbal noun repeats it.
+        lemma = (anaphor.lemma or None) if mode != VERBAL and prop == "definite" else None
+        nouns = self.nouns.get(lemma, ())
+        detail = _Detail(config, prop, p_score, (nouns, len(nouns)), _NO_MENTIONS)
+        best, _ = _PSEUDO.get(prop, (None, None))
+        total = 0 if best is None else config.pseudo_points
+
+        def offer(phrase: Phrase, points: Optional[int]) -> None:
+            """Keep the phrase if its total beats the best: score, real phrase, recency.
+
+            ``points`` are what the rules but R1 give it, None for nothing.
+            """
+            nonlocal best, total
+            if phrase.lemma == lemma:
+                points = identity if points is None else identity + points
+            elif points is None:
+                return
+            if (best is None or points > total
+                    or points == total and (type(best) is not int or phrase.id > best)):
+                best, total = phrase.id, points
+
+        source, r6 = None, ()
         if mode == NOMINAL:
             source = anaphor.lemma
         elif mode == VERBAL:
             source = frame.slot(slot)
         elif (modified := _genitive_head(anaphor, self.d)) is not None:
-            proposals.extend(self.mentions(modified.lemma, config.relational_points, "R6"))
+            r6 = self.nouns.get(modified.lemma, ())
+            detail.r6 = r6, len(r6)
         else:
-            source = _governing_slot(anaphor, self.d, self.run.lex)
-        weighted = None if source is None else self._weighted(anaphor, proposals, p_score, source)
+            source = _governing_slot(anaphor, self.d, run.lex)
 
-        totals: dict[Candidate, int] = {}
-        for proposal in proposals:
-            totals[proposal.candidate] = totals.get(proposal.candidate, 0) + proposal.points
-        if weighted is not None:
-            weighted.add_points(totals)
-        winner: Optional[Candidate] = None
-        total = 0
-        if totals:
-            # Score first, then a real phrase over a pseudo candidate, then
-            # recency: the latest tied phrase, else the first tied pseudo one.
-            total = max(totals.values())
-            tied = [candidate for candidate, points in totals.items() if points == total]
-            winner = max((c for c in tied if isinstance(c, int)), default=tied[0])
-        direct = any(pr.candidate == winner for pr in direct_proposals)
-        return ResolutionResult(anaphor.id, slot, winner, total, totals,
-                                tuple(proposals) if weighted is None else weighted, direct)
+        if source is None:
+            # R1 and R6 give every mention of their lemma the same points, so
+            # only the newest can win; the lists are one when the lemmas are.
+            if r6:
+                offer(r6[-1], config.relational_points)
+            if nouns and nouns is not r6:
+                offer(nouns[-1], None)
+        else:
+            score = run.scorer(source)
+            subjects = [(p, score(p)) for p in _subject_path(anaphor, self.d)]
+            detail.rule = "R5" if isinstance(source, CaseSlot) else "R4"
+            detail.score, detail.subjects = score, subjects
+            detail.entries, detail.count = self.entries, len(self.entries)
+            detail.counts = counts = dict(self.counts)
+            skip = {p.id for p, _ in subjects}
+            base = config.subject_base
+            for p, sim in subjects:
+                offer(p, None if sim is None else base + p_score + sim)
 
-    def _weighted(self, anaphor: Phrase, eager: list[Proposal], p_score: int,
-                  source: Union[str, CaseSlot]) -> _WeightedProposals:
-        """The R4/R5 candidates of one target: its subject path and topics/foci.
+            def scan(entries: list, count: int, ceiling: int, floor: float) -> None:
+                """Score entries of one kind newest first, while one can still win.
 
-        Each entry is scored once per source, when the first target after it
-        asks for that source.
-        """
-        score = self.run.scorer(source)
-        sims = self.sims.setdefault(source, [])
-        sims.extend(score(entry[0]) for entry in self.entries[len(sims):])
-        subjects = [(p.id, score(p)) for p in _subject_path(anaphor, self.d)]
-        rule = "R5" if isinstance(source, CaseSlot) else "R4"
-        return _WeightedProposals(tuple(eager), rule, p_score, self.run.config.subject_base,
-                                  subjects, self.entries, dict(self.counts), sims)
+                An entry ``dist`` back scores at most ``ceiling - dist`` by
+                R4/R5, or ``floor`` if that is more; the older entries score
+                no more than the next one, and they lose its ties.
+                """
+                for phrase, _, weight, index in reversed(entries):
+                    dist = count - index
+                    bound = max(ceiling - dist, floor)
+                    if best is not None and (bound < total or bound == total and
+                                             type(best) is int and best > phrase.id):
+                        return
+                    if phrase.id in skip:
+                        continue
+                    sim = score(phrase)
+                    offer(phrase, None if sim is None else weight - dist + p_score + sim)
+
+            ceilings = run.ceilings
+            if lemma is not None:
+                # A mention that is no entry scores exactly R1's points.
+                for p in reversed(self.mentions.get((lemma, None), ())):
+                    if p.id not in skip:
+                        offer(p, None)
+                        break
+            for kind, entries in self.kinds.items():
+                scan(entries, counts[kind], ceilings[kind] + p_score, -math.inf)
+            if lemma is not None:
+                # Mentions that are entries add R1's points to R4/R5's, or
+                # score R1's alone where the case slot excludes them.
+                floor = identity if isinstance(source, CaseSlot) else -math.inf
+                for kind, count in counts.items():
+                    scan(self.mentions.get((lemma, kind), ()), count,
+                         identity + ceilings[kind] + p_score, floor)
+
+        direct = lemma is not None and type(best) is int and self.d.phrase(best).lemma == lemma
+        return ResolutionResult(anaphor.id, slot, best, total, detail, detail, direct)
 
 
 def resolve(

@@ -516,6 +516,43 @@ def test_gold_items_are_rejected_unless_they_read_back():
         assert _reads_back(doc), item
 
 
+_MARKER_FAULTS = [
+    ("lemma", "-", "'-' reads back as no lemma"),
+    ("surface", "*", "'*' reads back as a zero pronoun's empty surface"),
+    ("surface", "abc,", "ends in ',', which reads back as punctuation after it"),
+    ("surface", "abc\u3002", "ends in '\u3002', which reads back as punctuation after it"),
+    ("sem_codes", ("-",), "'-' reads back as no codes"),
+    ("sem_codes", ("15", "1,2"), "code '1,2' does not read back as one code"),
+    ("sem_codes", ("",), "code '' does not read back as one code"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _MARKER_FAULTS,
+                         ids=[repr(value) for _, value, _ in _MARKER_FAULTS])
+def test_a_marker_or_separator_in_field_text_is_rejected(name, value, message):
+    # Each of these used to pass validate_discourse and read back as
+    # another phrase.
+    noun = make_phrase(2, lemma="yane", particles=("ga",), head=3, codes=("15",))
+    doc = _doc([make_phrase(1, lemma="ie", particles=("no",), head=2),
+                dataclasses.replace(noun, **{name: value}),
+                make_phrase(3, lemma="mieru", pos="verb")])
+    assert validate_discourse(doc) == [f"phrase 2: {message}"]
+    assert not _reads_back(doc)
+
+
+def test_marker_characters_that_read_back_pass():
+    noun = make_phrase(2, lemma="yane", particles=("ga",), head=3, codes=("15",))
+    for change in ({"lemma": "-x"}, {"lemma": "x-"}, {"surface": "*x"},
+                   {"surface": "abc,", "punct_after": "comma"},
+                   {"surface": ",", "punct_after": "period"}, {"surface": ",a"},
+                   {"sem_codes": ("1", "-")}, {"sem_codes": ("-1",)}):
+        doc = _doc([make_phrase(1, lemma="ie", particles=("no",), head=2),
+                    dataclasses.replace(noun, **change),
+                    make_phrase(3, lemma="mieru", pos="verb")])
+        assert validate_discourse(doc) == [], change
+        assert _reads_back(doc), change
+
+
 def test_a_document_id_or_pos_reads_back_unless_validate_discourse_reports_it():
     # The parser and validate_discourse share one rule on each.
     noun = make_phrase(1, lemma="neko", particles=("ga",), head=2)

@@ -1,14 +1,13 @@
-"""R4/R5 proposals are built the first time a result's ``proposals`` are read.
+"""A result's ``all_scores`` and ``proposals`` are built the first time either is read.
 
-Resolution adds each weighted candidate's points to the totals directly, so
-``bridgeref resolve`` builds no ``Proposal`` for them.  A result holds what
-building them needs and builds them once, on the first read, from any
+Resolution decides each winner from the candidates that can still win, so
+``bridgeref resolve`` builds no totals and no ``Proposal``.  A result holds
+what building them needs and builds them once, on the first read, from any
 thread and at any point of the stream; until then clones see the same
 fields as after it.
 """
 import copy
 import dataclasses
-import importlib.util
 import pickle
 import sys
 import threading
@@ -16,11 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from bridgeref import resolver
 from bridgeref.cli import main
 from bridgeref.config import ResolverConfig
 from bridgeref.resolver import (
     ResolutionResult,
-    _WeightedProposals,
+    _Detail,
     _resolve_stream,
     resolve,
     resolve_discourse,
@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _pending(result):
     """Whether the result's proposals were never read."""
-    return type(ResolutionResult.proposals.slot.__get__(result)) is _WeightedProposals
+    return type(ResolutionResult.proposals.slot.__get__(result)) is _Detail
 
 
 def _alone(result, d, lex, config):
@@ -41,40 +41,43 @@ def _alone(result, d, lex, config):
 
 @pytest.fixture
 def counted_builds(monkeypatch):
-    """The rule of each R4/R5 proposal built since the fixture was set up."""
+    """Each ``all_scores`` built since the fixture was set up, as "totals", and
+    the rule of each proposal the resolver built."""
     built = []
-    build = _WeightedProposals.build
+    build, proposal = _Detail.build, resolver.Proposal
 
-    def counting(self):
-        proposals = build(self)
-        built.extend(proposal.rule for proposal in proposals[len(self.eager):])
-        return proposals
+    def counting_build(self):
+        built.append("totals")
+        return build(self)
 
-    monkeypatch.setattr(_WeightedProposals, "build", counting)
+    def counting_proposal(*args, **kwargs):
+        made = proposal(*args, **kwargs)
+        built.append(made.rule)
+        return made
+
+    monkeypatch.setattr(_Detail, "build", counting_build)
+    monkeypatch.setattr(resolver, "Proposal", counting_proposal)
     return built
 
 
-def test_resolve_command_builds_no_weighted_proposal(tmp_path, counted_builds):
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+def test_resolve_command_builds_no_weighted_proposal(tmp_path, counted_builds, workloads):
     long_doc = workloads.build("long_doc", 3, ROOT, tmp_path / "long_doc")
     inputs = ["--corpus", long_doc["corpus"], "--lexicons", long_doc["lexicons"]]
     assert main(["resolve", *inputs, "--out", str(tmp_path / "preds.tsv")]) == 0
     predictions = (tmp_path / "preds.tsv").read_text(encoding="utf-8").splitlines()
     assert len(predictions) > 200
     assert counted_builds == []
-    # The count sees the proposals a table reads.
+    # The count sees the totals and proposals a table reads, of every rule.
     last = predictions[-1].split()[1]
     assert main(["explain", *inputs, "--anaphor", f"long:{last}"]) == 0
-    assert counted_builds and set(counted_builds) <= {"R4", "R5"}
+    assert counted_builds.count("totals") == 1 and {"R1", "R4"} <= set(counted_builds)
 
 
 @pytest.mark.parametrize("case", [random_long_case, random_case],
                          ids=lambda case: case.__name__)
 def test_proposals_add_up_to_the_totals_in_their_order(case):
-    # add_points makes the totals and build the proposals; each result's
-    # proposals must sum to its totals, candidate by candidate, in key order.
+    # Each result's proposals must sum to its totals, candidate by candidate,
+    # in key order.
     default = ResolverConfig.default()
     checked = 0
     for seed in range(60):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bridgeref.lexicons import (
@@ -221,6 +223,19 @@ def test_duplicate_case_names_the_line_of_the_second_slot(tmp_path):
     with pytest.raises(LexiconFormatError) as excinfo:
         load_case_frames(path)
     assert str(excinfo.value) == f"{path}: line 4: duplicate surface case in frame 'neru'"
+
+
+def test_a_case_slot_built_in_code_takes_only_a_surface_case(lexicons):
+    # Upper-cased demo slots used to resolve, and to fail only once their
+    # predictions were written.
+    slots = [slot for frame in lexicons.case_frames.frames.values() for slot in frame.slots]
+    assert slots
+    for slot in slots:
+        case = slot.surface_case.upper()
+        with pytest.raises(ValueError, match=f"^unknown surface case {case!r}$"):
+            dataclasses.replace(slot, surface_case=case)
+    with pytest.raises(ValueError, match="^unknown surface case 'no'$"):
+        CaseSlot("no", ("1",), ())
 
 
 def test_attribute_loader_rejects_unknown_flags(tmp_path):

@@ -11,12 +11,17 @@ import gc
 import sys
 import threading
 import weakref
+from pathlib import Path
 
+from bridgeref import resolver
 from bridgeref.config import ResolverConfig
-from bridgeref.corpus import validate_discourse
+from bridgeref.corpus import parse_corpus, validate_discourse
+from bridgeref.lexicons import load_lexicons
 from bridgeref.resolver import SKIP, detect_targets, resolve, resolve_discourse
 from bridgeref.salience import distance, parse_weight_row, salience_list
 from randgen import oracle_all_scores, random_case, random_long_case
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fields(result):
@@ -165,3 +170,38 @@ def test_threads_swapping_the_run_cache_never_mix_configs():
     for k in range(len(configs)):
         assert got[k] == [expected[k]] * 3
     assert len(set(map(repr, expected))) == len(configs)
+
+
+def _resolver_lines_per_target(workloads, copies, monkeypatch, tmp_path):
+    """Lines of resolver.py run per target by ``resolve_discourse`` on the
+    benchmark's ``long_doc`` built from ``copies`` copies of the demo set."""
+    monkeypatch.setitem(workloads.SIZES["long_doc"], "copies", copies)
+    spec = workloads.build("long_doc", 3, ROOT, tmp_path / str(copies))
+    with open(spec["corpus"], encoding="utf-8") as f:
+        [d] = parse_corpus(f.read())
+    lex = load_lexicons(spec["lexicons"])      # new objects, so new run caches
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    def calls(frame, event, arg):
+        return count if frame.f_code.co_filename == resolver.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        results = resolve_discourse(d, lex, ResolverConfig.default())
+    finally:
+        sys.settrace(previous)
+    assert len(results) > copies * 5
+    return lines / len(results)
+
+
+def test_a_targets_cost_does_not_grow_with_the_text_before_it(workloads, monkeypatch,
+                                                              tmp_path):
+    short = _resolver_lines_per_target(workloads, 8, monkeypatch, tmp_path)
+    long = _resolver_lines_per_target(workloads, 64, monkeypatch, tmp_path)
+    assert long <= 1.5 * short, (short, long)

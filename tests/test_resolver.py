@@ -293,6 +293,29 @@ def test_slot_resolution_ignores_repeated_event_mentions():
     assert result.winner is None
 
 
+def test_a_repeated_mention_its_case_slot_excludes_wins_from_far_back():
+    # ichibu fills the ga slot of oku, which takes only code 12345.  Phrase 1
+    # repeats it but fails the slot, so it scores R1's 30 alone; 31 topics
+    # pass the slot, the newest scoring 20 - 1 + 0 + 10 = 29.  A bound on
+    # phrase 1 that counts its R4/R5 points, 30 + 30 - 32 = 28, would miss it.
+    frames = {"oku": VerbCaseFrame("oku", (CaseSlot("ga", ("12345",), ()),))}
+    lex = _lex(flags={"ichibu": frozenset({"relational"})}, frames=frames)
+    sentences = [[make_phrase(1, lemma="ichibu", particles=("wa",), head=2),
+                  make_phrase(2, lemma="aru", pos="verb")]]
+    for k in range(31):
+        sentences.append([make_phrase(3 + 2 * k, lemma=f"x{k}", particles=("wa",),
+                                      head=4 + 2 * k, codes=("12345",)),
+                          make_phrase(4 + 2 * k, lemma="aru", pos="verb")])
+    sentences.append([make_phrase(65, lemma="ichibu", subtype="relational",
+                                  particles=("ga",), head=66, ref="definite"),
+                      make_phrase(66, lemma="oku", pos="verb")])
+    doc = _doc(*sentences)
+    result = resolve(doc.phrase(65), None, doc, lex)
+    assert (result.winner, result.total, result.direct) == (1, 30, True)
+    assert result.all_scores[1] == 30 and result.all_scores[63] == 29
+    assert max(result.all_scores.values()) == 30
+
+
 def test_resolve_rejects_non_targets(corpora, lexicons):
     rate = corpora["rate"]
     with pytest.raises(ValueError, match="not an anaphora target"):

@@ -6,7 +6,6 @@ prediction as it comes, so a long document's proposals are never all held
 at once; ``explain`` reads no further than the first target past the phrase
 it was asked for.
 """
-import importlib.util
 import random
 import shutil
 import tracemalloc
@@ -29,24 +28,16 @@ ROOT = Path(__file__).resolve().parents[1]
 LEX = str(LEXICON_DIR)
 
 
-def _workload(name, tmp_path_factory):
-    """A benchmark workload's inputs, built with its generator."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.build(name, 3, ROOT, tmp_path_factory.mktemp(name))
-
-
 @pytest.fixture(scope="module")
-def long_doc(tmp_path_factory):
+def long_doc(workloads, tmp_path_factory):
     """The benchmark's ``long_doc`` inputs: one document of 1,504 phrases."""
-    return _workload("long_doc", tmp_path_factory)
+    return workloads.build("long_doc", 3, ROOT, tmp_path_factory.mktemp("long_doc"))
 
 
 @pytest.fixture(scope="module")
-def many_short(tmp_path_factory):
+def many_short(workloads, tmp_path_factory):
     """The benchmark's ``many_short`` inputs: 3,002 documents."""
-    return _workload("many_short", tmp_path_factory)
+    return workloads.build("many_short", 3, ROOT, tmp_path_factory.mktemp("many_short"))
 
 
 def _traced_peak(argv):
@@ -93,6 +84,8 @@ def test_resolve_peaks_below_half_of_what_the_results_hold(long_doc, tmp_path):
     try:
         before = tracemalloc.get_traced_memory()[0]
         results = resolve_discourse(discourse, lexicons, ResolverConfig.default())
+        for result in results:
+            result.all_scores
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
