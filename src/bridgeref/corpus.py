@@ -2,7 +2,7 @@
 
 An ADC file is UTF-8 and line oriented:
 
-    #DOC <id>         starts a document; the id is one token
+    #DOC <id>         starts a document; the id is one token, not opening with %
     #SENT <n>         starts sentence n (0-based, contiguous per document)
     % ...             comment, ignored
     <phrase record>   one phrase per line inside a sentence
@@ -32,12 +32,13 @@ label.  Parsed text never breaks these.  Parsing reports the first broken
 rule as a ``CorpusFormatError`` naming the line and field;
 ``validate_discourse`` reports each as ``phrase <id>:`` and the same
 message.  One rule on document ids serves both: ``#DOC`` carries an id
-that is one token with no whitespace around it, and ``validate_discourse``
-reports any other id first.  Parsing then reports the first structural
-violation of each document as a ``CorpusStructureError``: dangling heads,
-head chains that never reach the sentence root (cycles, head-less
-sentences), non-increasing ids and gold antecedents that do not precede
-their phrase.
+that is one token with no whitespace around it and does not open with
+``%`` (a predictions line would read as a comment), and
+``validate_discourse`` reports any other id first.  Parsing then reports
+the first structural violation of each document as a
+``CorpusStructureError``: dangling heads, head chains that never reach the
+sentence root (cycles, head-less sentences), non-increasing ids and gold
+antecedents that do not precede their phrase.
 
 Parsing is a stream: each document is checked and handed on before the
 next one is read, and ``parse_corpus`` collects them into a list.  Documents
@@ -153,9 +154,17 @@ class Discourse:
         return takewhile(lambda p: p.id < phrase_id, self.phrases())
 
 
-def _is_doc_id(doc_id: str) -> bool:
-    """Whether ``#DOC <id>`` can carry the id: one token, without surrounding whitespace."""
-    return doc_id.split() == [doc_id]
+def _doc_id_fault(doc_id: str) -> Optional[str]:
+    """Why ``#DOC <id>`` and a predictions line cannot carry the id, or None.
+
+    The id must be one token, without surrounding whitespace, and must not
+    open with ``%``, which would make its predictions line a comment.
+    """
+    if doc_id.split() != [doc_id]:
+        return "must be one token"
+    if doc_id.startswith("%"):
+        return "must not start with '%'"
+    return None
 
 
 def _check_anaphor(d: Discourse, anaphor: Phrase) -> None:
@@ -365,9 +374,9 @@ def _parse_stream(text: str) -> Iterator[Discourse]:
             doc_id = line[len("#DOC"):].strip()
             if not doc_id:
                 raise CorpusFormatError(f"line {lineno}: #DOC needs a document id")
-            if not _is_doc_id(doc_id):
-                raise CorpusFormatError(
-                    f"line {lineno}: #DOC id must be one token, got {doc_id!r}")
+            fault = _doc_id_fault(doc_id)
+            if fault:
+                raise CorpusFormatError(f"line {lineno}: #DOC id {fault}, got {doc_id!r}")
             continue
         if directive == "#SENT":
             if doc_id is None:
@@ -465,8 +474,8 @@ def serialize_corpus(documents: list[Discourse]) -> str:
 
 def validate_discourse(d: Discourse) -> list[str]:
     """Return a list of invariant violations; empty when the document is sound."""
-    violations = [] if _is_doc_id(d.doc_id) else [
-        f"document id must be one token, got {d.doc_id!r}"]
+    fault = _doc_id_fault(d.doc_id)
+    violations = [f"document id {fault}, got {d.doc_id!r}"] if fault else []
     violations += [f"phrase {p.id}: {message}"
                    for p in d.phrases() for _, message in _field_faults(p)]
     return violations + _structure_violations(d)

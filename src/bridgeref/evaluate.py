@@ -5,8 +5,8 @@ got right; precision is the fraction of targets the system judged to have
 an antecedent that were right.  Verbal nouns are counted once per case
 slot, and a pseudo-candidate winner counts as a negative system judgement.
 A predictions file may leave units out, but lists each one at most once,
-scores an anaphor either as one whole-phrase unit or per case slot (the
-latter for verbal nouns only), and every winner it names must be a phrase
+scores an anaphor either as one whole-phrase unit or per surface case slot
+(the latter for verbal nouns only), and every winner it names must be a phrase
 of the document that precedes the anaphor.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .corpus import Discourse, _is_doc_id
+from .corpus import Discourse, _doc_id_fault
 from .lexicons import SURFACE_CASES
 from .resolver import ResolutionResult
 
@@ -40,6 +40,11 @@ def predictions_from_results(
     return predictions
 
 
+def _is_slot(slot: Optional[str]) -> bool:
+    """Whether a unit can have this slot: None for a whole phrase, else a surface case."""
+    return slot is None or slot in SURFACE_CASES
+
+
 def serialize_predictions(predictions: Iterable[Prediction]) -> str:
     """Predictions as the text ``parse_predictions`` reads back unchanged.
 
@@ -48,9 +53,10 @@ def serialize_predictions(predictions: Iterable[Prediction]) -> str:
     """
     lines = ["% doc\tanaphor\tslot\twinner\ttotal"]
     for p in predictions:
-        if not _is_doc_id(p.doc_id):
-            raise ValueError(f"{p!r}: document id must be one token")
-        if p.slot is not None and p.slot not in SURFACE_CASES:
+        fault = _doc_id_fault(p.doc_id)
+        if fault:
+            raise ValueError(f"{p!r}: document id {fault}")
+        if not _is_slot(p.slot):
             raise ValueError(f"{p!r}: slot must be None or a surface case")
         lines.append("\t".join([
             p.doc_id,
@@ -90,6 +96,8 @@ def parse_predictions(text: str) -> list[Prediction]:
             ))
         except ValueError:
             raise ValueError(f"predictions line {lineno}: bad integer field") from None
+        if not _is_slot(predictions[-1].slot):
+            raise ValueError(f"predictions line {lineno}: slot {slot!r} is not a surface case")
         unit = predictions[-1][:3]
         if unit in first_line:
             raise ValueError(

@@ -17,7 +17,8 @@ All four resources are plain UTF-8 files with ``%`` comment lines:
 
 A line that breaks a rule is rejected as ``<file>: line <n>: <message>``;
 a repeated verb block or verbal-noun mapping names its earlier line too.
-A ``Thesaurus`` built in code is held to the same code rule.  Lexicon
+A ``Thesaurus``, ``CaseSlot`` or ``VerbCaseFrame`` built in code is held
+to the same code, slot and frame rules, with the same messages.  Lexicon
 objects, loaded or built in code, keep their collections as tuples and
 frozensets of their own, so they are immutable and safe to share between
 workers; a string where such a collection belongs is rejected.
@@ -150,11 +151,19 @@ class CaseSlot:
         for name in ("constraints", "example_nouns"):
             object.__setattr__(self, name, _collection(
                 getattr(self, name), tuple, f"case slot {self.surface_case!r} {name}"))
+        for code in self.constraints:
+            _check_code(code, f"case-frame constraint {code!r}")
+        if not self.constraints and not self.example_nouns:
+            raise ValueError("slot needs constraints or examples")
 
 
 def _check_case(case: str) -> None:
     if case not in SURFACE_CASES:
         raise ValueError(f"unknown surface case {case!r}")
+
+
+def _duplicate_case(verb: str) -> str:
+    return f"duplicate surface case in frame {verb!r}"
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,9 @@ class VerbCaseFrame:
     def __post_init__(self):
         object.__setattr__(self, "slots", _collection(
             self.slots, tuple, f"case frame {self.verb_lemma!r} slots"))
+        cases = self.surface_cases()
+        if len(set(cases)) != len(cases):
+            raise ValueError(_duplicate_case(self.verb_lemma))
 
     def slot(self, surface_case: str) -> Optional[CaseSlot]:
         for s in self.slots:
@@ -233,13 +245,12 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
                 _check_code(code, f"case-frame constraint {code!r}")
             examples = tuple(
                 e for e in _parse_kv(tokens[3], "examples").split(",") if e and e != "-")
-            if not constraints and not examples:
-                raise ValueError("slot needs constraints or examples")
+            slot = CaseSlot(case, constraints, examples)
             verb = next(reversed(blocks))     # the open block is the last one
             slots = blocks[verb][0]
             if any(s.surface_case == case for s in slots):
-                raise ValueError(f"duplicate surface case in frame {verb!r}")
-            slots.append(CaseSlot(case, constraints, examples))
+                raise ValueError(_duplicate_case(verb))
+            slots.append(slot)
         elif tokens[0] == "vn":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise ValueError("expected 'vn <noun> -> <verb>'")

@@ -140,12 +140,14 @@ class _Detail:
     the target's subject path, as (phrase, similarity) pairs, and from
     the first ``count`` salience entries of its sweep, scored by ``score``.
     The sweep's lists only grow, so those items stay as they were when the
-    target was resolved; ``counts`` is the count per kind of that moment.
-    Nothing here refers to the sweep or the document.
+    target was resolved.  Each entry's distance follows from the count of its
+    kind in that prefix, which is taken when the detail is built; an entry
+    with no weight, a zero pronoun, is counted and never proposed.  Nothing
+    here refers to the sweep or the document.
     """
 
     __slots__ = ("config", "prop", "p_score", "r1", "r6", "rule", "score", "subjects",
-                 "entries", "count", "counts")
+                 "entries", "count")
 
     def __init__(self, config: ResolverConfig, prop: str, p_score: int,
                  r1: tuple[list[Phrase], int], r6: tuple[list[Phrase], int]) -> None:
@@ -166,10 +168,13 @@ class _Detail:
                 if sim is not None:
                     append(Proposal(phrase.id, base + p_score + sim, rule,
                                     ScoreBreakdown(p_score, sim, base=base)))
-            for phrase, kind, weight, index in islice(self.entries, self.count):
-                if phrase.id in subject_ids or (sim := self.score(phrase)) is None:
+            entries = self.entries[:self.count]
+            counts = {kind: index + 1 for _, kind, _, index in entries}   # last index + 1
+            for phrase, kind, weight, index in entries:
+                if (weight is None or phrase.id in subject_ids
+                        or (sim := self.score(phrase)) is None):
                     continue
-                dist = self.counts[kind] - index
+                dist = counts[kind] - index
                 append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
                                 ScoreBreakdown(p_score, sim, weight, dist)))
         totals: dict[Candidate, int] = {}
@@ -290,19 +295,6 @@ def _head_chain(anaphor: Phrase, d: Discourse) -> Iterator[Phrase]:
         head = phrase.head_id
     raise ValueError(f"document {d.doc_id!r}: phrase {anaphor.id}: head chain never "
                      f"reaches the root of sentence {sentence.index}")
-
-
-def _subject_path(anaphor: Phrase, d: Discourse) -> list[Phrase]:
-    """Subjects of the anaphor's clause and of the clauses governing it."""
-    governors = {p.id for p in _head_chain(anaphor, d)}
-    return [
-        p for p in d.sentence_of(anaphor.id).phrases
-        if p.id < anaphor.id
-        and p.is_noun()
-        and not p.is_zero_pronoun()
-        and p.clause_role in _SUBJECT_ROLES
-        and p.head_id in governors
-    ]
 
 
 def _check_depths(lex: LexiconSet, config: ResolverConfig) -> None:
@@ -436,7 +428,12 @@ class _Sweep:
     """What one document holds before the phrase being resolved.
 
     Phrases are added in document order, and every list here only grows,
-    so a result's detail can hold a list and its length.  Salience classes
+    so a result's detail can hold a list and its length.  ``add`` says once
+    what each rule reads about a phrase.  A candidate is a noun that is not
+    a zero pronoun; only candidates are mentions (R1, R6) and subjects, which
+    are filed under their head's id.  Every phrase of a salience kind is an
+    entry of that kind, a zero pronoun with weight None, so an entry's
+    distance is its kind list's length less its index.  Salience classes
     and scores come from the run the sweep is built with, so a sweep never
     mixes the caches of two configs.
     """
@@ -444,16 +441,15 @@ class _Sweep:
     def __init__(self, d: Discourse, run: _Run):
         self.d, self.run = d, run
         self.classes, self.rows = run.salience, run.rows
-        # (phrase, kind, weight, index among entries of its kind) of every
-        # salience entry but zero pronouns, which only count towards distance:
-        # in document order, and per kind.
-        self.entries: list[tuple[Phrase, str, int, int]] = []
-        self.kinds: dict[str, list[tuple[Phrase, str, int, int]]] = {}
-        self.counts: dict[str, int] = {}                # entries so far, per kind
+        # (phrase, kind, weight, index in its kind's list) of every salience
+        # entry: in document order, and per kind.
+        self.entries: list[tuple[Phrase, str, Optional[int], int]] = []
+        self.kinds: dict[str, list[tuple[Phrase, str, Optional[int], int]]] = {}
         self.lemmas: set[str] = set()                   # non-empty lemmas so far
-        self.nouns: dict[str, list[Phrase]] = {}        # lemma -> noun phrases
-        # (lemma, kind) -> those nouns that are entries of the kind; with kind
-        # None, those that are no entry, as phrases.
+        self.nouns: dict[str, list[Phrase]] = {}        # lemma -> candidates
+        self.subjects: dict[Optional[int], list[Phrase]] = {}   # head id -> candidates
+        # (lemma, kind) -> those candidates that are entries of the kind; with
+        # kind None, those that are no entry, as phrases.
         self.mentions: dict[tuple[str, Optional[str]], list] = {}
 
     def add(self, phrase: Phrase) -> None:
@@ -461,22 +457,22 @@ class _Sweep:
         classified = self.classes.get(shape, _UNSEEN)
         if classified is _UNSEEN:
             classified = self.classes[shape] = classify_salience(phrase, self.rows)
+        candidate = phrase.pos == "noun" and phrase.noun_subtype != "zero_pronoun"
         entry = kind = None
         if classified is not None:
             kind, weight = classified
-            index = self.counts.get(kind, 0)
-            self.counts[kind] = index + 1
-            if phrase.is_zero_pronoun():
-                kind = None
-            else:
-                entry = phrase, kind, weight, index
-                self.entries.append(entry)
-                self.kinds.setdefault(kind, []).append(entry)
+            entries = self.kinds.setdefault(kind, [])
+            entry = phrase, kind, weight if candidate else None, len(entries)
+            self.entries.append(entry)
+            entries.append(entry)
         if phrase.lemma:
             self.lemmas.add(phrase.lemma)
-            if phrase.is_noun():
+        if candidate:
+            if phrase.lemma:
                 self.nouns.setdefault(phrase.lemma, []).append(phrase)
                 self.mentions.setdefault((phrase.lemma, kind), []).append(entry or phrase)
+            if phrase.clause_role in _SUBJECT_ROLES:
+                self.subjects.setdefault(phrase.head_id, []).append(phrase)
 
     def resolve(self, anaphor: Phrase, mode: str, frame: Optional[VerbCaseFrame],
                 slot: Optional[str]) -> ResolutionResult:
@@ -531,11 +527,13 @@ class _Sweep:
                 offer(nouns[-1], None)
         else:
             score = run.scorer(source)
-            subjects = [(p, score(p)) for p in _subject_path(anaphor, self.d)]
+            # The subjects of the anaphor's clause and of the clauses governing it.
+            subjects = [(p, score(p)) for p in sorted(
+                (p for head in _head_chain(anaphor, self.d)
+                 for p in self.subjects.get(head.id, ())), key=lambda p: p.id)]
             detail.rule = "R5" if isinstance(source, CaseSlot) else "R4"
             detail.score, detail.subjects = score, subjects
             detail.entries, detail.count = self.entries, len(self.entries)
-            detail.counts = counts = dict(self.counts)
             skip = {p.id for p, _ in subjects}
             base = config.subject_base
             for p, sim in subjects:
@@ -554,7 +552,7 @@ class _Sweep:
                     if best is not None and (bound < total or bound == total and
                                              type(best) is int and best > phrase.id):
                         return
-                    if phrase.id in skip:
+                    if weight is None or phrase.id in skip:
                         continue
                     sim = score(phrase)
                     offer(phrase, None if sim is None else weight - dist + p_score + sim)
@@ -566,14 +564,13 @@ class _Sweep:
                     if p.id not in skip:
                         offer(p, None)
                         break
-            for kind, entries in self.kinds.items():
-                scan(entries, counts[kind], ceilings[kind] + p_score, -math.inf)
-            if lemma is not None:
                 # Mentions that are entries add R1's points to R4/R5's, or
                 # score R1's alone where the case slot excludes them.
                 floor = identity if isinstance(source, CaseSlot) else -math.inf
-                for kind, count in counts.items():
-                    scan(self.mentions.get((lemma, kind), ()), count,
+            for kind, entries in self.kinds.items():
+                scan(entries, len(entries), ceilings[kind] + p_score, -math.inf)
+                if lemma is not None:
+                    scan(self.mentions.get((lemma, kind), ()), len(entries),
                          identity + ceilings[kind] + p_score, floor)
 
         direct = lemma is not None and type(best) is int and self.d.phrase(best).lemma == lemma

@@ -10,7 +10,7 @@ import dataclasses
 import random
 
 from bridgeref.config import ResolverConfig
-from bridgeref.corpus import Discourse, Phrase, Sentence
+from bridgeref.corpus import Discourse, GoldAntecedent, Phrase, Sentence
 from bridgeref.lexicons import (
     CaseFrameDict,
     CaseSlot,
@@ -235,6 +235,60 @@ def random_long_case(seed: int) -> tuple[Discourse, LexiconSet]:
     return Discourse(doc_id=f"long{seed}", sentences=tuple(sentences)), lex
 
 
+# Every character the ADC, predictions and score-table formats read as a
+# marker or separator, and a space.
+MARKED_ALPHABET = "-*,.、。:#|%= "
+
+
+def marked_text(rng: random.Random) -> str:
+    """0 to 4 characters, most of them from ``MARKED_ALPHABET``."""
+    return "".join(rng.choice(MARKED_ALPHABET) if rng.random() < 0.6 else rng.choice("ab")
+                   for _ in range(rng.randint(0, 4)))
+
+
+def random_marked_case(seed: int) -> tuple[Discourse, LexiconSet]:
+    """``random_case(seed)`` with its document id, surfaces, lemmas, sem
+    codes and gold labels redrawn, often from ``MARKED_ALPHABET``.
+
+    Lemmas come from a small pool, and each marked lemma is the Y of an
+    "X no Y" example, so marked lemmas recur, are targets and reach R1 and
+    R6.  Half the time one noun's lemma is spelled like the score-table
+    label of a phrase whose lemma another phrase shares.  Gold items name
+    earlier phrases.  The document may break rules that
+    ``validate_discourse`` reports.
+    """
+    d, lex = random_case(seed)
+    rng = random.Random(f"marked:{seed}")
+    lemmas = [marked_text(rng) for _ in range(3)]
+    pairs = tuple((rng.choice(NOUN_LEMMAS), lemma) for lemma in lemmas)
+    lex = dataclasses.replace(lex, xnoy=XnoYStore(pairs=lex.xnoy.pairs + pairs))
+    lemmas += NOUN_LEMMAS[:3]
+    phrases = {}
+    for p in d.phrases():
+        change = {}
+        if p.pos == "noun" and rng.random() < 0.6:
+            change["lemma"] = rng.choice(lemmas)
+        if not p.is_zero_pronoun() and rng.random() < 0.3:
+            change["surface"] = marked_text(rng)
+        if rng.random() < 0.2:
+            change["sem_codes"] = tuple(marked_text(rng) for _ in range(rng.randint(1, 2)))
+        if rng.random() < 0.3:
+            change["gold_antecedents"] = tuple(
+                GoldAntecedent(rng.choice([None, marked_text(rng), "ga"]),
+                               rng.choice([None, *phrases]))
+                for _ in range(rng.randint(1, 2)))
+        phrases[p.id] = dataclasses.replace(p, **change)
+    nouns = [p for p in phrases.values() if p.pos == "noun"]
+    shared = [p for p in nouns if sum(q.lemma == p.lemma for q in nouns) > 1]
+    if shared and rng.random() < 0.5:
+        named, other = rng.choice(shared), rng.choice(nouns)
+        if other is not named:
+            phrases[other.id] = dataclasses.replace(other, lemma=f"{named.lemma}#{named.id}")
+    sentences = tuple(Sentence(sent.index, tuple(phrases[p.id] for p in sent.phrases))
+                      for sent in d.sentences)
+    return Discourse(doc_id=marked_text(rng) + rng.choice(["", "a"]), sentences=sentences), lex
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle
 # ---------------------------------------------------------------------------
@@ -391,7 +445,8 @@ def oracle_all_scores(anaphor: Phrase, slot, d: Discourse, lex: LexiconSet,
         for p in d.phrases():
             if p.id >= anaphor.id:
                 break
-            if p.pos == "noun" and p.lemma == anaphor.lemma:
+            if (p.pos == "noun" and p.noun_subtype != "zero_pronoun"
+                    and p.lemma == anaphor.lemma):
                 add(p.id, config.identity_points)
     # R2 / R3
     if prop == "generic":
@@ -466,7 +521,8 @@ def oracle_all_scores(anaphor: Phrase, slot, d: Discourse, lex: LexiconSet,
                 for p in d.phrases():
                     if p.id >= anaphor.id:
                         break
-                    if p.pos == "noun" and p.lemma == head.lemma:
+                    if (p.pos == "noun" and p.noun_subtype != "zero_pronoun"
+                            and p.lemma == head.lemma):
                         add(p.id, config.relational_points)
         else:
             sentence = d.sentence_of(anaphor.id)

@@ -327,6 +327,38 @@ def test_eval_rejects_a_repeated_unit(tmp_path, capsys):
     assert "rate:8" in captured.err and captured.out == ""
 
 
+def test_eval_rejects_a_slot_that_is_not_a_surface_case(tmp_path, capsys):
+    out = _demo_predictions(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    at = lines.index("analysis\t9\tga\t3\t21")
+    lines[at] = "analysis\t9\tzz\t3\t21"
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--corpus", CORPUS, "--predictions", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {out}: predictions line {at + 1}: "
+                            f"slot 'zz' is not a surface case\n")
+    assert captured.out == ""
+
+
+def test_a_document_id_opening_with_a_percent_sign_stops_resolve_and_eval(tmp_path, capsys):
+    # Its predictions lines would read as comments, and eval would score
+    # the corpus without them.
+    out = _demo_predictions(tmp_path)
+    text = DEMO_CORPUS.read_text(encoding="utf-8")
+    lineno = text.splitlines().index("#DOC rate") + 1
+    corpus = tmp_path / "percent.adc"
+    corpus.write_text(text.replace("#DOC rate\n", "#DOC %rate\n"), encoding="utf-8")
+    out.write_text(out.read_text(encoding="utf-8").replace("\nrate\t", "\n%rate\t"),
+                   encoding="utf-8")
+    fault = f"error: {corpus}: line {lineno}: #DOC id must not start with '%', got '%rate'\n"
+    capsys.readouterr()
+    assert main(["resolve", "--corpus", str(corpus), "--lexicons", LEX]) == 1
+    assert capsys.readouterr() == ("", fault)
+    assert main(["eval", "--corpus", str(corpus), "--predictions", str(out)]) == 1
+    assert capsys.readouterr() == ("", fault)
+
+
 def test_eval_rejects_a_winner_the_document_lacks(tmp_path, capsys):
     out = _demo_predictions(tmp_path)
     text = out.read_text(encoding="utf-8").replace("rate\t8\t-\t7\t25", "rate\t8\t-\t999\t25")

@@ -222,6 +222,19 @@ def test_a_document_id_with_whitespace_inside_is_rejected(line):
     assert str(excinfo.value).startswith("line 2: #DOC id must be one token")
 
 
+@pytest.mark.parametrize("doc_id", ["%rate", "%"])
+def test_a_document_id_opening_with_a_percent_sign_is_rejected(doc_id):
+    # A predictions line opening with '%' is a comment, so eval would drop
+    # every unit of the document.
+    fault = f"must not start with '%', got {doc_id!r}"
+    with pytest.raises(CorpusFormatError) as excinfo:
+        parse_corpus(f"#DOC {doc_id}\n#SENT 0\n{_RECORD}\n")
+    assert str(excinfo.value) == f"line 1: #DOC id {fault}"
+    doc = dataclasses.replace(parse_corpus(f"#DOC a\n#SENT 0\n{_RECORD}\n")[0], doc_id=doc_id)
+    assert validate_discourse(doc) == [f"document id {fault}"]
+    assert [d.doc_id for d in parse_corpus(f"#DOC a%\n#SENT 0\n{_RECORD}\n")] == ["a%"]
+
+
 def test_record_outside_sentence_block():
     with pytest.raises(CorpusFormatError, match="outside"):
         parse_corpus("1\tx\tx\tnoun\tcommon\tga\t-\t-\t-\t-\t-\n")
@@ -561,7 +574,8 @@ def test_a_document_id_or_pos_reads_back_unless_validate_discourse_reports_it():
                    "a", "rate.1", "#x", "%x", "-", "a\x00b"):
         doc = dataclasses.replace(_doc([noun, verb]), doc_id=doc_id)
         faults = validate_discourse(doc)
-        assert faults in ([], [f"document id must be one token, got {doc_id!r}"])
+        assert faults in ([], [f"document id must be one token, got {doc_id!r}"],
+                          [f"document id must not start with '%', got {doc_id!r}"])
         assert _reads_back(doc) == (not faults), repr(doc_id)
     for pos in ("", "-", "verb", "-x", "x-", "no un", "*"):
         doc = _doc([dataclasses.replace(noun, pos=pos, noun_subtype=None), verb])

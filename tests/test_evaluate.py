@@ -128,6 +128,7 @@ def test_prediction_serialization_round_trip(corpora, lexicons):
     (Prediction("a\tb", 3, None, None, 0), "document id must be one token"),
     (Prediction("a b", 3, None, None, 0), "document id must be one token"),
     (Prediction("", 3, None, None, 0), "document id must be one token"),
+    (Prediction("%rate", 8, None, 7, 25), "document id must not start with '%'"),
     (Prediction("a", 3, "g\ta", 1, 0), "slot must be None or a surface case"),
     (Prediction("a", 3, "-", 1, 0), "slot must be None or a surface case"),
     (Prediction("a", 3, "", 1, 0), "slot must be None or a surface case"),
@@ -141,6 +142,18 @@ def test_a_prediction_that_would_not_read_back_is_not_serialised(prediction, fau
 def test_prediction_parser_rejects_short_lines():
     with pytest.raises(ValueError, match="5 fields"):
         parse_predictions("rate\t8\t-\t7\n")
+
+
+@pytest.mark.parametrize("slot", ["zz", "GA", "no"])
+def test_prediction_parser_rejects_a_slot_that_is_not_a_surface_case(slot):
+    # serialize_predictions refuses the same prediction, and evaluate would
+    # count it as a verbal unit.
+    with pytest.raises(ValueError) as excinfo:
+        serialize_predictions([Prediction("analysis", 9, slot, 3, 21)])
+    assert str(excinfo.value).endswith(": slot must be None or a surface case")
+    with pytest.raises(ValueError) as excinfo:
+        parse_predictions(f"% header\nanalysis\t9\t{slot}\t3\t21\n")
+    assert str(excinfo.value) == f"predictions line 2: slot {slot!r} is not a surface case"
 
 
 def test_prediction_parser_rejects_a_repeated_unit():

@@ -6,6 +6,7 @@ from bridgeref.lexicons import (
     CaseSlot,
     LexiconFormatError,
     Thesaurus,
+    VerbCaseFrame,
     load_case_frames,
     load_noun_attributes,
     load_thesaurus,
@@ -236,6 +237,28 @@ def test_a_case_slot_built_in_code_takes_only_a_surface_case(lexicons):
             dataclasses.replace(slot, surface_case=case)
     with pytest.raises(ValueError, match="^unknown surface case 'no'$"):
         CaseSlot("no", ("1",), ())
+
+
+@pytest.mark.parametrize("code", ["1a", "", "1²"])
+def test_a_case_slot_built_in_code_takes_only_ascii_digit_constraints(code):
+    # caseframes.txt rejects the same constraint with the same message.
+    with pytest.raises(LexiconFormatError) as excinfo:
+        CaseSlot("ga", ("15", code), ())
+    assert str(excinfo.value) == (f"case-frame constraint {code!r} must be a "
+                                  f"nonempty digit string")
+
+
+def test_a_case_slot_built_in_code_needs_constraints_or_examples():
+    with pytest.raises(ValueError, match="^slot needs constraints or examples$"):
+        CaseSlot("ga", (), ())
+
+
+def test_a_case_frame_built_in_code_has_one_slot_per_surface_case(lexicons):
+    # Two ga slots used to score one unit of demo 'analysis' twice.
+    frame = lexicons.case_frames.frames["kaiseki-suru"]
+    with pytest.raises(ValueError) as excinfo:
+        VerbCaseFrame(frame.verb_lemma, frame.slots + (frame.slot("ga"),))
+    assert str(excinfo.value) == "duplicate surface case in frame 'kaiseki-suru'"
 
 
 def test_attribute_loader_rejects_unknown_flags(tmp_path):

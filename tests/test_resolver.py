@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bridgeref.config import ConfigError, ResolverConfig
-from bridgeref.corpus import Discourse, Sentence
+from bridgeref.corpus import Discourse, Sentence, parse_discourse, validate_discourse
 from bridgeref.data import LEXICON_DIR
 from bridgeref.lexicons import (
     CaseFrameDict,
@@ -220,6 +220,22 @@ def test_repeated_mention_wins_and_marks_direct():
     assert result.direct
 
 
+def test_a_zero_pronoun_with_a_lemma_is_never_proposed(lexicons):
+    # The format lets a zero pronoun carry a lemma; it still only holds a
+    # salience slot.  R1 used to propose phrase 1 here with 30 points.
+    doc = parse_discourse(
+        "#DOC zp\n#SENT 0\n"
+        "1\t*\tyane\tnoun\tzero_pronoun\tga\t2\tsubject_main\t-\t-\t-\n"
+        "2\taru.\taru\tverb\t-\t-\t-\t-\t-\t-\t-\n#SENT 1\n"
+        "3\tsono yane\tyane\tnoun\tcommon\tga\t4\t-\t-\tdefinite\t-\n"
+        "4\ttakai.\ttakai\tverb\t-\t-\t-\t-\t-\t-\t-\n")
+    assert validate_discourse(doc) == []
+    [result] = resolve_discourse(doc, lexicons)
+    assert result.anaphor_id == 3
+    assert (result.winner, result.total, result.direct) == (None, 0, False)
+    assert result.all_scores == {} and result.proposals == ()
+
+
 def test_real_candidate_beats_pseudo_on_ties():
     thesaurus = Thesaurus(codes={"tatemono": ("1541",), "kare": ("1540",)},
                           max_depth=5)
@@ -385,7 +401,7 @@ def test_score_arithmetic_of_every_weighted_proposal(corpora, lexicons):
 HEAD_CYCLE = """
 import dataclasses
 from bridgeref import load_lexicons, parse_corpus, resolve_discourse
-from bridgeref.corpus import Discourse, Sentence
+from bridgeref.corpus import Discourse, Sentence, parse_discourse, validate_discourse
 from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
 rate = next(d for d in parse_corpus(DEMO_CORPUS.read_text(encoding="utf-8"))
             if d.doc_id == "rate")
