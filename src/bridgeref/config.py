@@ -17,10 +17,12 @@ the defaults below are the shipped calibration.
     semantics=on            off fixes every similarity score to 0
     weight.focus.noun:no=12     extra salience row (class:particles[:punct])
 
-``ResolverConfig`` checks its definiteness keys, its similarity table and that
-every score and point value is an ``int`` (and ``semantics`` a ``bool``)
-however it is built, in code, by ``dataclasses.replace`` or from a file;
-``load_config`` only reads the file on top of the defaults.
+``ResolverConfig`` checks its definiteness keys, its similarity table, that
+every score and point value is an ``int`` (and ``semantics`` a ``bool``) and
+that ``extra_weight_rows`` holds ``WeightRow`` objects, which check
+themselves, however it is built, in code, by ``dataclasses.replace`` or from
+a file.  ``load_config`` also rejects an ``example_match_min_level`` above
+the similarity table's top level; a config built in code is not held to it.
 """
 from __future__ import annotations
 
@@ -70,6 +72,11 @@ class ResolverConfig:
         if type(self.semantics) is not bool:
             raise ConfigError(f"semantics must be a bool, got {self.semantics!r}")
         _check_similarity_table(similarity_table)
+        rows = tuple(self.extra_weight_rows)
+        for row in rows:
+            if not isinstance(row, WeightRow):
+                raise ConfigError(f"extra_weight_rows must hold WeightRow items, got {row!r}")
+        object.__setattr__(self, "extra_weight_rows", rows)
         object.__setattr__(self, "definiteness", MappingProxyType(definiteness))
         object.__setattr__(self, "similarity_table", MappingProxyType(similarity_table))
 
@@ -104,8 +111,9 @@ def _check_similarity_table(table: Mapping[int, int]) -> None:
 def load_config(path: Path | str) -> ResolverConfig:
     """Read a key=value file on top of the defaults.
 
-    ``ResolverConfig`` checks the values it is given; its errors come back
-    with the file's path.
+    ``ResolverConfig`` and ``WeightRow`` check the values they are given;
+    their errors come back with the file's path, a row's with its line.  An
+    ``example_match_min_level`` above the table's top level is rejected here.
     """
     default = ResolverConfig.default()
     definiteness = dict(default.definiteness)

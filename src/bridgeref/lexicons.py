@@ -18,7 +18,8 @@ All four resources are plain UTF-8 files with ``%`` comment lines:
 A line that breaks a rule is rejected as ``<file>: line <n>: <message>``;
 a repeated verb block or verbal-noun mapping names its earlier line too.
 A ``Thesaurus``, ``CaseSlot`` or ``VerbCaseFrame`` built in code is held
-to the same code, slot and frame rules, with the same messages.  Lexicon
+to the same code, slot and frame rules, with the same messages: the
+case-frame reader leaves them to building both on each slot line.  Lexicon
 objects, loaded or built in code, keep their collections as tuples and
 frozensets of their own, so they are immutable and safe to share between
 workers; a string where such a collection belongs is rejected.
@@ -162,10 +163,6 @@ def _check_case(case: str) -> None:
         raise ValueError(f"unknown surface case {case!r}")
 
 
-def _duplicate_case(verb: str) -> str:
-    return f"duplicate surface case in frame {verb!r}"
-
-
 @dataclass(frozen=True)
 class VerbCaseFrame:
     verb_lemma: str
@@ -176,7 +173,7 @@ class VerbCaseFrame:
             self.slots, tuple, f"case frame {self.verb_lemma!r} slots"))
         cases = self.surface_cases()
         if len(set(cases)) != len(cases):
-            raise ValueError(_duplicate_case(self.verb_lemma))
+            raise ValueError(f"duplicate surface case in frame {self.verb_lemma!r}")
 
     def slot(self, surface_case: str) -> Optional[CaseSlot]:
         for s in self.slots:
@@ -219,7 +216,7 @@ def _parse_kv(token: str, key: str) -> str:
 
 
 def load_case_frames(path: Path | str) -> CaseFrameDict:
-    blocks: dict[str, tuple[list[CaseSlot], int]] = {}  # verb -> (its slots, line of its block)
+    blocks: dict[str, tuple[VerbCaseFrame, int]] = {}   # verb -> (its frame, line of its block)
     mapped: dict[str, tuple[str, int]] = {}     # verbal noun -> (verb, line of its mapping)
 
     def parse_line(lineno: int, line: str) -> None:
@@ -230,7 +227,7 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
             verb = tokens[1]
             if verb in blocks:
                 raise ValueError(f"verb {verb!r} already has a block at line {blocks[verb][1]}")
-            blocks[verb] = [], lineno
+            blocks[verb] = VerbCaseFrame(verb, ()), lineno
         elif tokens[0] == "slot":
             if not blocks:
                 raise ValueError("slot outside a verb block")
@@ -241,16 +238,12 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
             _check_case(case)
             constraints = tuple(
                 c for c in _parse_kv(tokens[2], "constraints").split(",") if c and c != "-")
-            for code in constraints:
-                _check_code(code, f"case-frame constraint {code!r}")
             examples = tuple(
                 e for e in _parse_kv(tokens[3], "examples").split(",") if e and e != "-")
             slot = CaseSlot(case, constraints, examples)
             verb = next(reversed(blocks))     # the open block is the last one
-            slots = blocks[verb][0]
-            if any(s.surface_case == case for s in slots):
-                raise ValueError(_duplicate_case(verb))
-            slots.append(slot)
+            frame, start = blocks[verb]
+            blocks[verb] = VerbCaseFrame(verb, frame.slots + (slot,)), start
         elif tokens[0] == "vn":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise ValueError("expected 'vn <noun> -> <verb>'")
@@ -262,7 +255,7 @@ def load_case_frames(path: Path | str) -> CaseFrameDict:
             raise ValueError(f"unknown directive {tokens[0]!r}")
 
     _read(path, parse_line)
-    frames = {verb: VerbCaseFrame(verb, tuple(slots)) for verb, (slots, _) in blocks.items()}
+    frames = {verb: frame for verb, (frame, _) in blocks.items()}
     for noun, (verb, lineno) in mapped.items():
         if verb not in frames:
             raise LexiconFormatError(

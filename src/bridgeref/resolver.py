@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Optional, Union
 
@@ -118,10 +119,11 @@ class ResolutionResult:
     candidate's total, and the proposals those totals add up.
 
     ``winner``, ``total`` and ``direct`` are decided when the target is
-    resolved.  ``all_scores`` and ``proposals`` are built together the first
-    time either is read, under a lock, and kept: reads from any thread see
-    one dict and one tuple that never change, and ``repr``, equality,
-    copying and pickling see them as ordinary fields.
+    resolved.  ``all_scores`` and ``proposals`` are built together, by one
+    pending call fixed then, the first time either is read, under a lock,
+    and kept: reads from any thread see one dict and one tuple that never
+    change, and ``repr``, equality, copying and pickling see them as
+    ordinary fields.
     """
     anaphor_id: int
     slot: Optional[str]
@@ -132,61 +134,49 @@ class ResolutionResult:
     direct: bool                       # winner carried a repeated-mention proposal
 
 
-class _Detail:
-    """A result's ``all_scores`` and ``proposals``, as held until either is read.
+def _build_scores(config: ResolverConfig, prop: str, p_score: int, r1: list, r1_count: int,
+                  r6: list, r6_count: int, rule: str, score: Optional[Callable],
+                  subjects: list, entries: list, count: int
+                  ) -> tuple[dict[Candidate, int], tuple[Proposal, ...]]:
+    """A result's ``all_scores`` and ``proposals``, in proposal order.
 
-    ``r1`` and ``r6`` are the noun list of a repeated or modified lemma and
-    its length when the target was resolved; the R4/R5 proposals come from
-    the target's subject path, as (phrase, similarity) pairs, and from
-    the first ``count`` salience entries of its sweep, scored by ``score``.
-    The sweep's lists only grow, so those items stay as they were when the
-    target was resolved.  Each entry's distance follows from the count of its
-    kind in that prefix, which is taken when the detail is built; an entry
-    with no weight, a zero pronoun, is counted and never proposed.  Nothing
-    here refers to the sweep or the document.
+    R1 and R6 propose the first ``r1_count`` and ``r6_count`` of their
+    nouns; with a ``score``, R4/R5 propose the subject path, as (phrase,
+    similarity) pairs, and the first ``count`` salience entries, as they
+    were when the target was resolved: the sweep's lists only grow.  An
+    entry's distance follows from the count of its kind in that prefix; an
+    entry with no weight, a zero pronoun, is counted and never proposed.
     """
-
-    __slots__ = ("config", "prop", "p_score", "r1", "r6", "rule", "score", "subjects",
-                 "entries", "count")
-
-    def __init__(self, config: ResolverConfig, prop: str, p_score: int,
-                 r1: tuple[list[Phrase], int], r6: tuple[list[Phrase], int]) -> None:
-        self.config, self.prop, self.p_score, self.r1, self.r6 = config, prop, p_score, r1, r6
-        self.score = None
-
-    def build(self) -> tuple[dict[Candidate, int], tuple[Proposal, ...]]:
-        """The totals and the proposals they add up, in proposal order."""
-        config, p_score = self.config, self.p_score
-        proposals = [Proposal(p.id, config.identity_points, "R1") for p in islice(*self.r1)]
-        proposals += propose_no_antecedent(self.prop, config)
-        proposals += [Proposal(p.id, config.relational_points, "R6") for p in islice(*self.r6)]
-        if self.score is not None:
-            append, rule, base = proposals.append, self.rule, config.subject_base
-            subject_ids = set()
-            for phrase, sim in self.subjects:
-                subject_ids.add(phrase.id)
-                if sim is not None:
-                    append(Proposal(phrase.id, base + p_score + sim, rule,
-                                    ScoreBreakdown(p_score, sim, base=base)))
-            entries = self.entries[:self.count]
-            counts = {kind: index + 1 for _, kind, _, index in entries}   # last index + 1
-            for phrase, kind, weight, index in entries:
-                if (weight is None or phrase.id in subject_ids
-                        or (sim := self.score(phrase)) is None):
-                    continue
-                dist = counts[kind] - index
-                append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
-                                ScoreBreakdown(p_score, sim, weight, dist)))
-        totals: dict[Candidate, int] = {}
-        for proposal in proposals:
-            totals[proposal.candidate] = totals.get(proposal.candidate, 0) + proposal.points
-        return totals, tuple(proposals)
+    proposals = [Proposal(p.id, config.identity_points, "R1") for p in islice(r1, r1_count)]
+    proposals += propose_no_antecedent(prop, config)
+    proposals += [Proposal(p.id, config.relational_points, "R6") for p in islice(r6, r6_count)]
+    if score is not None:
+        append, base = proposals.append, config.subject_base
+        subject_ids = set()
+        for phrase, sim in subjects:
+            subject_ids.add(phrase.id)
+            if sim is not None:
+                append(Proposal(phrase.id, base + p_score + sim, rule,
+                                ScoreBreakdown(p_score, sim, base=base)))
+        entries = entries[:count]
+        counts = {kind: index + 1 for _, kind, _, index in entries}   # last index + 1
+        for phrase, kind, weight, index in entries:
+            if (weight is None or phrase.id in subject_ids
+                    or (sim := score(phrase)) is None):
+                continue
+            dist = counts[kind] - index
+            append(Proposal(phrase.id, weight - dist + p_score + sim, rule,
+                            ScoreBreakdown(p_score, sim, weight, dist)))
+    totals: dict[Candidate, int] = {}
+    for proposal in proposals:
+        totals[proposal.candidate] = totals.get(proposal.candidate, 0) + proposal.points
+    return totals, tuple(proposals)
 
 
 class _BuiltOnFirstRead:
     """``ResolutionResult.all_scores`` or ``.proposals``: the field's slot,
-    which holds the result's ``_Detail`` until the first read of either
-    field stores what it builds in both."""
+    which holds the result's pending ``_build_scores`` call, a ``partial``,
+    until the first read of either field stores what it returns in both."""
 
     __slots__ = ("slot", "index")
 
@@ -197,11 +187,11 @@ class _BuiltOnFirstRead:
         if result is None:
             return self
         value = self.slot.__get__(result)
-        if type(value) is _Detail:
+        if type(value) is partial:
             with _build_lock:
                 value = self.slot.__get__(result)
-                if type(value) is _Detail:
-                    built = value.build()
+                if type(value) is partial:
+                    built = value()
                     for slot, part in zip(_LAZY_SLOTS, built):
                         slot.__set__(result, part)
                     value = built[self.index]
@@ -230,8 +220,9 @@ def referential_property(
 
     Annotated values win; ``auto`` falls back to a surface heuristic: a
     demonstrative modifier or an earlier mention of the same lemma suggests
-    definite, anything else indefinite.
+    definite, anything else indefinite.  The phrase must be the document's own.
     """
+    _check_anaphor(d, p)
     earlier = {q.lemma for q in d.preceding(p.id) if q.lemma}
     return _referential_property(p, earlier, config or _DEFAULT_CONFIG)
 
@@ -421,14 +412,13 @@ def _governing_slot(anaphor: Phrase, d: Discourse, lex: LexiconSet) -> Optional[
 
 
 _UNSEEN = object()
-_NO_MENTIONS = ((), 0)
 
 
 class _Sweep:
     """What one document holds before the phrase being resolved.
 
     Phrases are added in document order, and every list here only grows,
-    so a result's detail can hold a list and its length.  ``add`` says once
+    so a pending result can hold a list and its length.  ``add`` says once
     what each rule reads about a phrase.  A candidate is a noun that is not
     a zero pronoun; only candidates are mentions (R1, R6) and subjects, which
     are filed under their head's id.  Every phrase of a salience kind is an
@@ -480,8 +470,8 @@ class _Sweep:
 
         Each candidate's total is exact; a candidate is left out only when a
         bound shows that it scores below the best so far, or ties it and
-        loses the tie-break.  ``all_scores`` and ``proposals`` are left to the
-        result's ``_Detail``.
+        loses the tie-break.  ``all_scores`` and ``proposals`` are left to one
+        ``_build_scores`` call, which the result holds until either is read.
         """
         run, config = self.run, self.run.config
         prop, p_score = _referential_property(anaphor, self.lemmas, config)
@@ -489,7 +479,6 @@ class _Sweep:
         # R1's lemma: a definite anaphor that is not a verbal noun repeats it.
         lemma = (anaphor.lemma or None) if mode != VERBAL and prop == "definite" else None
         nouns = self.nouns.get(lemma, ())
-        detail = _Detail(config, prop, p_score, (nouns, len(nouns)), _NO_MENTIONS)
         best, _ = _PSEUDO.get(prop, (None, None))
         total = 0 if best is None else config.pseudo_points
 
@@ -507,14 +496,13 @@ class _Sweep:
                     or points == total and (type(best) is not int or phrase.id > best)):
                 best, total = phrase.id, points
 
-        source, r6 = None, ()
+        source, r6, score, subjects = None, (), None, ()
         if mode == NOMINAL:
             source = anaphor.lemma
         elif mode == VERBAL:
             source = frame.slot(slot)
         elif (modified := _genitive_head(anaphor, self.d)) is not None:
             r6 = self.nouns.get(modified.lemma, ())
-            detail.r6 = r6, len(r6)
         else:
             source = _governing_slot(anaphor, self.d, run.lex)
 
@@ -531,9 +519,6 @@ class _Sweep:
             subjects = [(p, score(p)) for p in sorted(
                 (p for head in _head_chain(anaphor, self.d)
                  for p in self.subjects.get(head.id, ())), key=lambda p: p.id)]
-            detail.rule = "R5" if isinstance(source, CaseSlot) else "R4"
-            detail.score, detail.subjects = score, subjects
-            detail.entries, detail.count = self.entries, len(self.entries)
             skip = {p.id for p, _ in subjects}
             base = config.subject_base
             for p, sim in subjects:
@@ -574,7 +559,10 @@ class _Sweep:
                          identity + ceilings[kind] + p_score, floor)
 
         direct = lemma is not None and type(best) is int and self.d.phrase(best).lemma == lemma
-        return ResolutionResult(anaphor.id, slot, best, total, detail, detail, direct)
+        pending = partial(_build_scores, config, prop, p_score, nouns, len(nouns), r6, len(r6),
+                          "R5" if isinstance(source, CaseSlot) else "R4", score, subjects,
+                          self.entries, len(self.entries))
+        return ResolutionResult(anaphor.id, slot, best, total, pending, pending, direct)
 
 
 def resolve(

@@ -3,9 +3,10 @@
 A noun phrase becomes a salience entry when its particles (or trailing
 punctuation) match one of the weight rows below.  Topic rows are tried
 first, then focus rows; the first matching row wins, and focus rows never
-apply to a phrase marked with ``wa``.  Extra rows come from the config's
-``weight.<kind>.<pattern>=<w>`` keys alone (see ``parse_weight_row``); the
-resolver tries them after the default rows.
+apply to a phrase marked with ``wa``.  Extra rows come from the config
+alone, from its ``weight.<kind>.<pattern>=<w>`` keys (see
+``parse_weight_row``) or built in code as ``WeightRow`` objects, which
+check themselves; the resolver tries them after the default rows.
 """
 from __future__ import annotations
 
@@ -28,6 +29,24 @@ class WeightRow:
     particles: frozenset[str]
     match_punct: bool              # row also matches bare noun + comma/period
     weight: int
+
+    def __post_init__(self):
+        if self.kind not in (TOPIC, FOCUS):
+            raise ValueError(f"weight row kind must be topic or focus, got {self.kind!r}")
+        if self.word_class not in ("noun", "pronoun"):
+            raise ValueError(f"weight row class must be noun or pronoun, got {self.word_class!r}")
+        if type(self.match_punct) is not bool:
+            raise ValueError(f"weight row match_punct must be a bool, got {self.match_punct!r}")
+        particles = frozenset(self.particles)
+        object.__setattr__(self, "particles", particles)
+        pattern = (f"{self.word_class}:{','.join(sorted(particles))}"
+                   + (":punct" if self.match_punct else ""))
+        for particle in sorted(particles - PARTICLES):
+            raise ValueError(f"unknown particle {particle!r} in weight row {pattern!r}")
+        if not particles and not self.match_punct:
+            raise ValueError(f"weight row {pattern!r} matches nothing")
+        if type(self.weight) is not int:
+            raise ValueError(f"weight row weight must be an integer, got {self.weight!r}")
 
 
 def _word_class(phrase: Phrase) -> str:
@@ -122,21 +141,11 @@ def distance(entry: SalienceEntry, anaphor: Phrase, entries: list[SalienceEntry]
 
 
 def parse_weight_row(kind: str, pattern: str, weight: int) -> WeightRow:
-    """Build a row from its compact pattern ``<class>:<particles,>[:punct]``."""
-    if kind not in (TOPIC, FOCUS):
-        raise ValueError(f"weight row kind must be topic or focus, got {kind!r}")
+    """Build a row from its pattern ``<class>:<particles,>[:punct]``; the row checks the rest."""
     parts = pattern.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"bad weight row pattern {pattern!r}")
-    word_class = parts[0]
-    if word_class not in ("noun", "pronoun"):
-        raise ValueError(f"weight row class must be noun or pronoun, got {word_class!r}")
-    particles = frozenset(p for p in parts[1].split(",") if p)
-    for particle in sorted(particles - PARTICLES):
-        raise ValueError(f"unknown particle {particle!r} in weight row {pattern!r}")
-    match_punct = len(parts) == 3 and parts[2] == "punct"
-    if len(parts) == 3 and parts[2] != "punct":
+    if parts[2:] not in ([], ["punct"]):
         raise ValueError(f"bad weight row suffix {parts[2]!r} (only 'punct' allowed)")
-    if not particles and not match_punct:
-        raise ValueError(f"weight row {pattern!r} matches nothing")
-    return WeightRow(kind, word_class, particles, match_punct, weight)
+    return WeightRow(kind, parts[0], frozenset(p for p in parts[1].split(",") if p),
+                     len(parts) == 3, weight)

@@ -10,8 +10,9 @@ from bridgeref.config import ConfigError, ResolverConfig, load_config
 from bridgeref.corpus import Discourse, Sentence
 from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
 from bridgeref.lexicons import LexiconFormatError, load_lexicons
-from bridgeref.resolver import resolve
-from randgen import make_phrase
+from bridgeref.resolver import resolve, resolve_discourse
+from bridgeref.salience import WeightRow
+from randgen import make_phrase, random_long_case
 
 
 def test_defaults():
@@ -154,6 +155,40 @@ def test_weight_row_with_a_bad_suffix_names_file_and_line(tmp_path):
         load_config(path)
     assert str(excinfo.value) == (
         f"{path}: line 1: bad weight row suffix 'xyz' (only 'punct' allowed)")
+
+
+def test_extra_weight_rows_given_as_a_list_are_held_as_a_tuple():
+    # A list used to construct, and resolving with it raised a bare TypeError.
+    row = WeightRow("focus", "noun", frozenset({"no"}), False, 12)
+    listed = ResolverConfig(extra_weight_rows=[row])
+    assert type(listed.extra_weight_rows) is tuple and listed.extra_weight_rows == (row,)
+    d, lex = random_long_case(0)
+    assert resolve_discourse(d, lex, listed) == resolve_discourse(
+        d, lex, ResolverConfig(extra_weight_rows=(row,)))
+
+
+def test_extra_weight_rows_hold_only_weight_rows():
+    item = ("focus", "noun:no", 12)
+    message = r"^extra_weight_rows must hold WeightRow items, got \('focus', 'noun:no', 12\)$"
+    with pytest.raises(ConfigError, match=message):
+        ResolverConfig(extra_weight_rows=(item,))
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(ResolverConfig.default(), extra_weight_rows=[item])
+
+
+def test_a_weight_row_keeps_its_own_particles():
+    # A row used to keep the caller's set, so emptying the set after a run
+    # left the run's caches on the old row while a new config saw the new one.
+    particles = {"no"}
+    row = WeightRow("topic", "noun", particles, False, 60)
+    config = ResolverConfig(extra_weight_rows=(row,))
+    d, lex = random_long_case(0)
+    before = resolve_discourse(d, lex, config)
+    assert before != resolve_discourse(d, lex, ResolverConfig.default())
+    particles.clear()
+    assert row.particles == frozenset({"no"})
+    assert resolve_discourse(d, lex, config) == before
+    assert resolve_discourse(d, lex, ResolverConfig(extra_weight_rows=(row,))) == before
 
 
 @pytest.mark.parametrize("fields, message", [

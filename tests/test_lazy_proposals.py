@@ -8,6 +8,7 @@ fields as after it.
 """
 import copy
 import dataclasses
+import functools
 import pickle
 import sys
 import threading
@@ -20,7 +21,6 @@ from bridgeref.cli import main
 from bridgeref.config import ResolverConfig
 from bridgeref.resolver import (
     ResolutionResult,
-    _Detail,
     _resolve_stream,
     resolve,
     resolve_discourse,
@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _pending(result):
     """Whether the result's proposals were never read."""
-    return type(ResolutionResult.proposals.slot.__get__(result)) is _Detail
+    return type(ResolutionResult.proposals.slot.__get__(result)) is functools.partial
 
 
 def _alone(result, d, lex, config):
@@ -44,18 +44,18 @@ def counted_builds(monkeypatch):
     """Each ``all_scores`` built since the fixture was set up, as "totals", and
     the rule of each proposal the resolver built."""
     built = []
-    build, proposal = _Detail.build, resolver.Proposal
+    build, proposal = resolver._build_scores, resolver.Proposal
 
-    def counting_build(self):
+    def counting_build(*args):
         built.append("totals")
-        return build(self)
+        return build(*args)
 
     def counting_proposal(*args, **kwargs):
         made = proposal(*args, **kwargs)
         built.append(made.rule)
         return made
 
-    monkeypatch.setattr(_Detail, "build", counting_build)
+    monkeypatch.setattr(resolver, "_build_scores", counting_build)
     monkeypatch.setattr(resolver, "Proposal", counting_proposal)
     return built
 

@@ -226,6 +226,16 @@ def test_duplicate_case_names_the_line_of_the_second_slot(tmp_path):
     assert str(excinfo.value) == f"{path}: line 4: duplicate surface case in frame 'neru'"
 
 
+def test_a_slot_line_with_a_bad_constraint_and_a_repeated_case_names_the_constraint(tmp_path):
+    path = tmp_path / "caseframes.txt"
+    path.write_text("verb neru\nslot case=ga constraints=11 examples=-\n"
+                    "slot case=ga constraints=1a examples=-\n", encoding="utf-8")
+    with pytest.raises(LexiconFormatError) as excinfo:
+        load_case_frames(path)
+    assert str(excinfo.value) == (
+        f"{path}: line 3: case-frame constraint '1a' must be a nonempty digit string")
+
+
 def test_a_case_slot_built_in_code_takes_only_a_surface_case(lexicons):
     # Upper-cased demo slots used to resolve, and to fail only once their
     # predictions were written.

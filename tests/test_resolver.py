@@ -351,6 +351,12 @@ def test_resolve_rejects_a_phrase_of_another_document(corpora, lexicons):
         resolve(corpora["rate"].phrase(8), None, corpora["analysis"], lexicons)
 
 
+def test_referential_property_rejects_a_phrase_of_another_document(corpora):
+    # It used to score the stranger against the other document's lemmas.
+    with pytest.raises(ValueError, match="^anaphor 2 is not part of document 'rate'$"):
+        referential_property(corpora["rain"].phrase(2), corpora["rate"])
+
+
 def test_resolve_discourse_covers_all_targets(corpora, lexicons):
     results = resolve_discourse(corpora["analysis"], lexicons)
     assert [(r.anaphor_id, r.slot) for r in results] == [(9, "ga"), (9, "wo")]

@@ -2,6 +2,7 @@ import pytest
 
 from bridgeref.salience import (
     DEFAULT_FOCUS_ROWS,
+    WeightRow,
     classify_salience,
     default_rows,
     distance,
@@ -146,3 +147,26 @@ def test_parse_weight_row_rejects_junk():
 def test_parse_weight_row_rejects_unknown_particles():
     with pytest.raises(ValueError, match="unknown particle 'zz'"):
         parse_weight_row("topic", "noun:wa,zz", 5)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("topik", "nown", frozenset({"zz"}), False, 99),
+     "weight row kind must be topic or focus, got 'topik'"),
+    (("topic", "nown", frozenset({"ga"}), False, 9),
+     "weight row class must be noun or pronoun, got 'nown'"),
+    (("focus", "noun", frozenset({"zz", "ga"}), True, 9),
+     "unknown particle 'zz' in weight row 'noun:ga,zz:punct'"),
+    (("focus", "noun", frozenset(), False, 9), "weight row 'noun:' matches nothing"),
+    (("focus", "noun", frozenset(), "off", 9), "weight row match_punct must be a bool, got 'off'"),
+    (("focus", "noun", frozenset({"ga"}), False, "9"),
+     "weight row weight must be an integer, got '9'"),
+    (("focus", "noun", frozenset({"ga"}), False, 9.0),
+     "weight row weight must be an integer, got 9.0"),
+    (("focus", "noun", frozenset({"ga"}), False, True),
+     "weight row weight must be an integer, got True"),
+])
+def test_a_weight_row_built_in_code_is_checked(fields, message):
+    # Each of these rows used to be accepted, and resolving ran with it.
+    with pytest.raises(ValueError) as excinfo:
+        WeightRow(*fields)
+    assert str(excinfo.value) == message
