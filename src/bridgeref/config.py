@@ -14,18 +14,19 @@ the defaults below are the shipped calibration.
     pseudo_points=10        points for the no-antecedent pseudo candidate
     example_match_min_level=4   level at which example similarity satisfies a slot;
                                 at most the similarity table's top level
-    semantics=on            off fixes every similarity score to 0
+    semantics=on            off sets every score of the similarity table to 0
     weight.focus.noun:no=12     extra salience row (class:particles[:punct])
 
 ``ResolverConfig`` checks its definiteness keys, its similarity table, that
-every score and point value is an ``int`` (and ``semantics`` a ``bool``) and
-that ``extra_weight_rows`` holds ``WeightRow`` objects, which check
-themselves, however it is built, in code, by ``dataclasses.replace`` or from
-a file.  ``load_config`` also rejects an ``example_match_min_level`` above
-the similarity table's top level; a config built in code is not held to it.
+every score and point value is an ``int`` and that ``extra_weight_rows`` is
+a collection of ``WeightRow`` objects, which check themselves, however it is
+built, in code, by ``dataclasses.replace`` or from a file.  ``load_config``
+also rejects an ``example_match_min_level`` above the similarity table's top
+level; a config built in code is not held to it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -54,7 +55,6 @@ class ResolverConfig:
     relational_points: int = 30
     pseudo_points: int = 10
     example_match_min_level: int = 4
-    semantics: bool = True
     extra_weight_rows: tuple[WeightRow, ...] = ()
 
     def __post_init__(self):
@@ -69,10 +69,12 @@ class ResolverConfig:
         for key, score in scores.items():
             if type(score) is not int:
                 raise ConfigError(f"{key} must be an integer, got {score!r}")
-        if type(self.semantics) is not bool:
-            raise ConfigError(f"semantics must be a bool, got {self.semantics!r}")
         _check_similarity_table(similarity_table)
-        rows = tuple(self.extra_weight_rows)
+        rows = self.extra_weight_rows
+        if isinstance(rows, (str, bytes)) or not isinstance(rows, Iterable):
+            raise ConfigError(
+                f"extra_weight_rows must be a collection of WeightRow items, got {rows!r}")
+        rows = tuple(rows)
         for row in rows:
             if not isinstance(row, WeightRow):
                 raise ConfigError(f"extra_weight_rows must hold WeightRow items, got {row!r}")
@@ -87,7 +89,7 @@ class ResolverConfig:
         return cls()
 
     def without_semantics(self) -> "ResolverConfig":
-        return replace(self, semantics=False)
+        return replace(self, similarity_table=dict.fromkeys(self.similarity_table, 0))
 
 
 # The keys of a config file that set an integer field of its own name.
@@ -118,8 +120,9 @@ def load_config(path: Path | str) -> ResolverConfig:
     default = ResolverConfig.default()
     definiteness = dict(default.definiteness)
     similarity = dict(default.similarity_table)
-    values: dict[str, object] = {}
+    values: dict[str, int] = {}
     weight_rows = []
+    semantics = True
 
     for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), 1):
         line = raw.strip()
@@ -132,20 +135,20 @@ def load_config(path: Path | str) -> ResolverConfig:
         value = value.strip()
         try:
             if key in definiteness:
-                definiteness[key] = int(value)
+                definiteness[key] = _integer(key, value)
             elif key.startswith("sim."):
-                similarity[int(key[4:])] = int(value)
+                similarity[_integer("similarity level", key[4:])] = _integer(key, value)
             elif key in _INT_KEYS:
-                values[key] = int(value)
+                values[key] = _integer(key, value)
             elif key == "semantics":
                 if value not in ("on", "off", "true", "false"):
                     raise ValueError("semantics must be on or off")
-                values[key] = value in ("on", "true")
+                semantics = value in ("on", "true")
             elif key.startswith("weight."):
                 parts = key.split(".", 2)
                 if len(parts) != 3:
                     raise ValueError("expected weight.<kind>.<pattern>")
-                weight_rows.append(parse_weight_row(parts[1], parts[2], int(value)))
+                weight_rows.append(parse_weight_row(parts[1], parts[2], _integer(key, value)))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
@@ -163,4 +166,11 @@ def load_config(path: Path | str) -> ResolverConfig:
         raise ConfigError(
             f"{path}: example_match_min_level={config.example_match_min_level} "
             f"is above the similarity table's top level {top}")
-    return config
+    return config if semantics else config.without_semantics()
+
+
+def _integer(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None

@@ -320,7 +320,7 @@ class _Run:
         self.rows = default_rows() + config.extra_weight_rows   # salience weight rows
         # kind -> the most an entry of the kind can score before its distance
         # and definiteness: its top weight plus the top similarity score.
-        top_sim = max(config.similarity_table.values()) if config.semantics else 0
+        top_sim = max(config.similarity_table.values())
         self.ceilings = {kind: top_sim + max(row.weight for row in self.rows if row.kind == kind)
                          for kind in {row.kind for row in self.rows}}
         # (pos, noun_subtype, lemma) -> _classify_target's mode, frame, slots
@@ -342,7 +342,7 @@ class _Run:
         """A candidate's similarity score for one source, or None to exclude it.
 
         An anaphor lemma scores by R4's "X no Y" similarity, a case slot by
-        R5's constraint; with semantics off, a candidate not excluded scores 0.
+        R5's constraint.
         """
         lex, config, cache = self.lex, self.config, self.scores.setdefault(source, {})
 
@@ -353,14 +353,12 @@ class _Run:
                     ok, sim = satisfies_constraint(
                         candidate, source, lex.thesaurus, config.similarity_table,
                         config.example_match_min_level)
-                    cache[key] = (sim if config.semantics else 0) if ok else None
-                elif config.semantics:
+                    cache[key] = sim if ok else None
+                else:
                     best = max((similarity_level(candidate.lemma, x, lex.thesaurus)
                                 for x in xnoy_modifier_set(source, lex.xnoy, lex.attrs)),
                                default=0)
                     cache[key] = similarity_score(best, config.similarity_table)
-                else:
-                    cache[key] = 0
             return cache[key]
 
         return score

@@ -123,7 +123,8 @@ def random_config(rng: random.Random) -> ResolverConfig:
     """A config with every score, constant and weight row drawn at random.
 
     The similarity table has 6 to 8 levels, enough for the 5-digit codes of
-    ``random_lexicons``; semantics are off about one time in five.
+    ``random_lexicons``; about one time in five its scores are all 0, as
+    ``without_semantics()`` sets them.
     """
     levels = rng.randint(6, 8)
     rows = []
@@ -133,7 +134,7 @@ def random_config(rng: random.Random) -> ResolverConfig:
         rows.append(parse_weight_row(
             rng.choice(("topic", "focus")),
             f"{rng.choice(('noun', 'pronoun'))}:{particles}{punct}", rng.randint(-30, 40)))
-    return ResolverConfig(
+    config = ResolverConfig(
         definiteness={prop: rng.randint(-20, 20)
                       for prop in ("definite", "indefinite", "generic")},
         similarity_table=dict(enumerate(sorted(rng.randint(-40, 40) for _ in range(levels)))),
@@ -142,9 +143,9 @@ def random_config(rng: random.Random) -> ResolverConfig:
         relational_points=rng.randint(-30, 50),
         pseudo_points=rng.randint(-30, 50),
         example_match_min_level=rng.randrange(levels),
-        semantics=rng.random() >= 0.2,
         extra_weight_rows=tuple(rows),
     )
+    return config if rng.random() >= 0.2 else config.without_semantics()
 
 
 def random_discourse(rng: random.Random, lex: LexiconSet,
@@ -494,8 +495,6 @@ def oracle_all_scores(anaphor: Phrase, slot, d: Discourse, lex: LexiconSet,
         mods = _oracle_modifiers(anaphor.lemma, lex)
 
         def score(p):
-            if not config.semantics:
-                return 0
             best = 0
             for x in mods:
                 best = max(best, _oracle_level(p.lemma, x, lex.thesaurus))
@@ -508,9 +507,7 @@ def oracle_all_scores(anaphor: Phrase, slot, d: Discourse, lex: LexiconSet,
 
         def score(p):
             ok, sim = _oracle_satisfies(p, case_slot, lex, config)
-            if not ok:
-                return None
-            return sim if config.semantics else 0
+            return sim if ok else None
 
         scored_pool(score)
     elif mode == "RELATIONAL":
@@ -557,9 +554,7 @@ def oracle_all_scores(anaphor: Phrase, slot, d: Discourse, lex: LexiconSet,
             if case_slot is not None:
                 def score(p):
                     ok, sim = _oracle_satisfies(p, case_slot, lex, config)
-                    if not ok:
-                        return None
-                    return sim if config.semantics else 0
+                    return sim if ok else None
 
                 scored_pool(score)
     return totals

@@ -23,7 +23,6 @@ def test_defaults():
     assert config.identity_points == 30
     assert config.relational_points == 30
     assert config.pseudo_points == 10
-    assert config.semantics
 
 
 def test_load_config_overrides(tmp_path):
@@ -35,7 +34,6 @@ def test_load_config_overrides(tmp_path):
         "sim.4=8\n"
         "subject_base=25\n"
         "pseudo_points=12\n"
-        "semantics=off\n"
         "weight.focus.noun:no=12\n"
         "weight.topic.pronoun:mo:punct=19\n",
         encoding="utf-8")
@@ -45,7 +43,6 @@ def test_load_config_overrides(tmp_path):
     assert config.similarity_table[4] == 8
     assert config.subject_base == 25
     assert config.pseudo_points == 12
-    assert not config.semantics
     assert len(config.extra_weight_rows) == 2
     assert config.extra_weight_rows[0].particles == frozenset({"no"})
     assert config.extra_weight_rows[1].match_punct
@@ -200,8 +197,10 @@ def test_a_weight_row_keeps_its_own_particles():
     ({"definiteness": {"definite": "0", "indefinite": -5, "generic": -5}},
      "definite must be an integer, got '0'"),
     ({"similarity_table": {0: -30, 1: "5"}}, "sim.1 must be an integer, got '5'"),
-    ({"semantics": "off"}, "semantics must be a bool, got 'off'"),
-    ({"semantics": 0}, "semantics must be a bool, got 0"),
+    ({"extra_weight_rows": None},
+     "extra_weight_rows must be a collection of WeightRow items, got None"),
+    ({"extra_weight_rows": "wa"},
+     "extra_weight_rows must be a collection of WeightRow items, got 'wa'"),
     ({"similarity_table": {0: -30, "1": 5}}, "similarity level must be an integer, got '1'"),
     ({"similarity_table": {0: -30, True: 5}}, "similarity level must be an integer, got True"),
 ])
@@ -220,3 +219,47 @@ def test_unsound_table_in_a_file_names_the_file(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message) as excinfo:
         load_config(path)
     assert str(excinfo.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("indefinite=x", "indefinite must be an integer, got 'x'"),
+    ("sim.4=x", "sim.4 must be an integer, got 'x'"),
+    ("sim.x=1", "similarity level must be an integer, got 'x'"),
+    ("subject_base=2.5", "subject_base must be an integer, got '2.5'"),
+    ("weight.focus.noun:ga=x", "weight.focus.noun:ga must be an integer, got 'x'"),
+])
+def test_a_value_that_is_not_an_integer_names_file_line_and_key(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"% one comment\n{line}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == f"{path}: line 2: {message}"
+
+
+def test_without_semantics_zeroes_every_score_and_keeps_the_levels(corpora, lexicons):
+    config = ResolverConfig(similarity_table={0: -9, 1: 0, 2: 4, 3: 6, 4: 8, 5: 9},
+                            subject_base=19)
+    bare = config.without_semantics()
+    assert bare.similarity_table == dict.fromkeys(range(6), 0)
+    assert dataclasses.replace(bare, similarity_table=config.similarity_table) == config
+    breakdowns = [p.breakdown for d in corpora.values()
+                  for result in resolve_discourse(d, lexicons, bare)
+                  for p in result.proposals if p.breakdown is not None]
+    assert breakdowns and all(b.similarity == 0 for b in breakdowns)
+
+
+def test_semantics_off_in_a_file_zeroes_the_table_wherever_the_line_is(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("sim.4=8\n", encoding="utf-8")
+    expected = load_config(path).without_semantics()
+    assert expected.similarity_table == dict.fromkeys(range(6), 0)
+    for text in ("semantics=off\nsim.4=8\n", "sim.4=8\nsemantics=off\n",
+                 "semantics=on\nsim.4=8\nsemantics=false\n"):
+        path.write_text(text, encoding="utf-8")
+        assert load_config(path) == expected, text
+    path.write_text("semantics=off\nsim.4=8\nsemantics=on\n", encoding="utf-8")
+    assert load_config(path).similarity_table[4] == 8
+    # The file's own table is checked before it is zeroed.
+    path.write_text("semantics=off\nsim.5=-99\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="monotonic"):
+        load_config(path)
