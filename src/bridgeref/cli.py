@@ -1,7 +1,8 @@
 """Command line front end: resolve, explain, eval, build-dict.
 
-Every command reads its corpus as a stream, one document at a time, so a
-run's memory grows with its largest document, not with the corpus.  The
+Every command reads its corpus file in blocks of 64 KiB and parses it as a
+stream, one document at a time, so a run's memory grows with its largest
+document, not with the corpus; the file is closed however the run ends.  The
 resolver's run caches are the exception: they keep one target-mode entry
 per distinct word class and lemma for the whole run, so a corpus whose
 documents share no lemmas grows them with every document.  What is
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from itertools import takewhile
 from pathlib import Path
 from typing import Iterator
 
-from ._files import read_utf8
+from ._files import integer, read_utf8, utf8_blocks
 from .config import ConfigError, ResolverConfig, load_config
 from .corpus import CorpusStructureError, Discourse, _parse_stream
 from .dictbuild import build_dictionary
@@ -56,13 +57,13 @@ def _named(path: str):
 def _documents(path: str) -> Iterator[Discourse]:
     """The documents of a corpus file, each yielded as soon as it is parsed.
 
-    A repeated id is a data error, since the later document would silently
+    The file is read in blocks and closed however the reading ends.  A
+    repeated id is a data error, since the later document would silently
     replace the earlier one.
     """
     seen = set()
-    documents = _parse_stream(read_utf8(path, ValueError))
-    with _named(path):
-        for document in documents:
+    with _named(path), closing(utf8_blocks(path)) as blocks:
+        for document in _parse_stream(blocks):
             if document.doc_id in seen:
                 raise CorpusStructureError(f"document id {document.doc_id!r} is repeated")
             seen.add(document.doc_id)
@@ -105,7 +106,7 @@ def _cmd_explain(args) -> int:
     if not colon:
         raise ConfigError("--anaphor takes DOC:ID")
     try:
-        phrase_id = int(raw_id)
+        phrase_id = integer(raw_id)
     except ValueError:
         raise ConfigError(f"--anaphor phrase id must be an integer, got {raw_id!r}") from None
     config = _resolver_config(args)

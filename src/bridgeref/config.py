@@ -32,7 +32,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from ._files import read_utf8
+from ._files import integer, read_utf8
 from ._frozen import reduce_by_fields
 from .salience import WeightRow, parse_weight_row
 
@@ -171,6 +171,6 @@ def load_config(path: Path | str) -> ResolverConfig:
 
 def _integer(name: str, text: str) -> int:
     try:
-        return int(text)
+        return integer(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None

@@ -40,8 +40,10 @@ the first structural violation of each document as a
 sentence root (cycles, head-less sentences), non-increasing ids and gold
 antecedents that do not precede their phrase.
 
-Parsing is a stream: each document is checked and handed on before the
-next one is read, and ``parse_corpus`` collects them into a list.  Documents
+Parsing is a stream: the text comes in pieces, a file's decoded blocks or
+slices of a string, each line is read once its piece is, and each document
+is checked and handed on before the next one is read; ``parse_corpus``
+collects them into a list.  Documents
 are immutable once parsed; any number of readers may share them.  Within
 one parse, equal field values (surface, lemma, part of speech, subtype,
 clause role, referential property) are one shared string object, which is
@@ -54,8 +56,9 @@ import re
 from dataclasses import dataclass, field
 from itertools import takewhile
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
+from ._files import BLOCK, integer, split_lines
 from ._frozen import reduce_by_fields
 
 PARTICLES = frozenset(
@@ -197,15 +200,16 @@ def _parse_gold(value: str, lineno: int) -> tuple[GoldAntecedent, ...]:
             gold.append(GoldAntecedent(label, None))
         else:
             try:
-                gold.append(GoldAntecedent(label, int(target)))
+                gold.append(GoldAntecedent(label, integer(target)))
             except ValueError:
                 raise CorpusFormatError(
                     f"line {lineno}: field 'gold': bad antecedent id {target!r}") from None
     return tuple(gold)
 
 
-# The slot descriptors of Phrase.  ``_parse_record`` sets them directly,
-# skipping the frozen ``__init__``'s one ``object.__setattr__`` per field.
+# The slot descriptors of Phrase and Sentence.  ``_parse_record`` and
+# ``_document`` set them directly, skipping the frozen ``__init__``'s one
+# ``object.__setattr__`` per field.
 _new_object = object.__new__
 _set_id = Phrase.id.__set__
 _set_surface = Phrase.surface.__set__
@@ -219,16 +223,19 @@ _set_clause_role = Phrase.clause_role.__set__
 _set_sem_codes = Phrase.sem_codes.__set__
 _set_ref_property = Phrase.ref_property.__set__
 _set_gold_antecedents = Phrase.gold_antecedents.__set__
+_set_index = Sentence.index.__set__
+_set_phrases = Sentence.phrases.__set__
 
 
 def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str, ...]],
-                  sound: set[tuple], same: Callable[[str, str], str]) -> Phrase:
+                  sound: dict[tuple, tuple], same: Callable[[str, str], str]) -> Phrase:
     """One phrase record.
 
     ``split_list`` is ``_split_list`` memoised by raw string, ``sound``
-    holds the shapes of own fields that passed ``_field_faults``, and
-    ``same(value, value)`` returns the first equal string seen; all three
-    last one parse.
+    maps each shape of own fields that passed ``_field_faults`` to its
+    parsed part of speech, subtype, particles, clause role and referential
+    property, and ``same(value, value)`` returns the first equal string
+    seen; all three last one parse.
     """
     fields = line.split("\t")
     if len(fields) != 11:
@@ -238,7 +245,7 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
      clause_role, sem_codes, refprop, gold) = fields
 
     try:
-        phrase_id = int(raw_id)
+        phrase_id = integer(raw_id)
     except ValueError:
         raise CorpusFormatError(f"line {lineno}: field 'id': not an integer: {raw_id!r}") from None
 
@@ -255,33 +262,42 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
         head_id = None
     else:
         try:
-            head_id = int(head)
+            head_id = integer(head)
         except ValueError:
             raise CorpusFormatError(f"line {lineno}: field 'head': not an integer: {head!r}") from None
 
-    phrase = _new_object(Phrase)
-    _set_id(phrase, phrase_id)
-    _set_surface(phrase, same(surface, surface))
-    _set_lemma(phrase, same(lemma, lemma))
-    _set_pos(phrase, same(pos, pos))
-    _set_noun_subtype(phrase, None if subtype == "-" else same(subtype, subtype))
-    _set_particles(phrase, split_list(particles))
-    _set_punct_after(phrase, punct_after)
-    _set_head_id(phrase, head_id)
-    _set_clause_role(phrase, "other" if clause_role == "-" else same(clause_role, clause_role))
-    _set_sem_codes(phrase, split_list(sem_codes))
-    _set_ref_property(phrase, "auto" if refprop == "-" else same(refprop, refprop))
-    _set_gold_antecedents(phrase, () if gold == "-" else _parse_gold(gold, lineno))
     # Everything _field_faults reads but the field text, which a split line
     # cannot give a tab or line break and which the reading above never
     # leaves a marker or a separator, and the gold items, since _parse_gold
     # cuts labels at ',' and ':' and reads no id without a label; a shape
     # that faulted is never added.
     shape = pos, subtype, particles, clause_role, refprop, not surface
-    if shape not in sound:
+    own = sound.get(shape)
+    unchecked = own is None
+    if unchecked:
+        own = (same(pos, pos), None if subtype == "-" else same(subtype, subtype),
+               split_list(particles),
+               "other" if clause_role == "-" else same(clause_role, clause_role),
+               "auto" if refprop == "-" else same(refprop, refprop))
+    pos, subtype, particle_list, clause_role, refprop = own
+
+    phrase = _new_object(Phrase)
+    _set_id(phrase, phrase_id)
+    _set_surface(phrase, same(surface, surface))
+    _set_lemma(phrase, same(lemma, lemma))
+    _set_pos(phrase, pos)
+    _set_noun_subtype(phrase, subtype)
+    _set_particles(phrase, particle_list)
+    _set_punct_after(phrase, punct_after)
+    _set_head_id(phrase, head_id)
+    _set_clause_role(phrase, clause_role)
+    _set_sem_codes(phrase, split_list(sem_codes))
+    _set_ref_property(phrase, refprop)
+    _set_gold_antecedents(phrase, () if gold == "-" else _parse_gold(gold, lineno))
+    if unchecked:
         for name, message in _field_faults(phrase):
             raise CorpusFormatError(f"line {lineno}: field '{name}': {message}")
-        sound.add(shape)
+        sound[shape] = own
     return phrase
 
 
@@ -334,34 +350,28 @@ def _field_faults(p: Phrase) -> Iterator[tuple[str, str]]:
 
 def parse_corpus(text: str) -> list[Discourse]:
     """Parse ADC text into a list of documents."""
-    return list(_parse_stream(text))
+    return list(_parse_stream(text[start:start + BLOCK]
+                              for start in range(0, len(text), BLOCK)))
 
 
-def _parse_stream(text: str) -> Iterator[Discourse]:
-    """The documents of ADC text, each yielded once it is parsed and checked.
+def _parse_stream(pieces: Iterable[str]) -> Iterator[Discourse]:
+    """The documents of ADC text given in pieces, each yielded once parsed and checked.
 
-    A document is yielded before the next one is read, so a caller that
-    keeps only what it needs of each holds one document at a time.
+    The pieces may be cut anywhere (a file's decoded blocks, slices of a
+    text).  Each line is read once its piece is, and a document is yielded
+    before the next one is read, so a caller that keeps only what it needs
+    of each holds one document and one piece at a time.
     """
     doc_id: Optional[str] = None
     sentences: list[list[Phrase]] = []
     current: Optional[list[Phrase]] = None      # the open sentence's phrases
     split_list = functools.cache(_split_list)
-    sound: set[tuple] = set()
+    sound: dict[tuple, tuple] = {}
     same = {}.setdefault
 
-    # Lines are popped off the reversed list, so each is freed once read;
-    # the text itself is freed once split, when no caller holds it.
-    lines = text.splitlines()
-    del text
-    lines.reverse()
-    pop = lines.pop
-    lineno = 0
-    while lines:
-        line = pop()
-        lineno += 1
-        # A line opening with a digit inside a sentence can only be a record.
-        if current is not None and line[:1].isdigit():
+    for lineno, line in enumerate(split_lines(pieces), 1):
+        # A line opening with an ASCII digit inside a sentence can only be a record.
+        if current is not None and "0" <= line[:1] <= "9":
             current.append(_parse_record(line, lineno, split_list, sound, same))
             continue
         if not line.strip() or line.startswith("%"):
@@ -385,7 +395,7 @@ def _parse_stream(text: str) -> Iterator[Discourse]:
             if len(parts) != 2:
                 raise CorpusFormatError(f"line {lineno}: #SENT needs an index")
             try:
-                index = int(parts[1])
+                index = integer(parts[1])
             except ValueError:
                 raise CorpusFormatError(
                     f"line {lineno}: #SENT index not an integer: {parts[1]!r}") from None
@@ -409,9 +419,13 @@ def _parse_stream(text: str) -> Iterator[Discourse]:
 
 def _document(doc_id: str, sentences: list[list[Phrase]]) -> Discourse:
     """The document whose sentences hold these phrases, once its structure is checked."""
-    document = Discourse(doc_id=doc_id, sentences=tuple(
-        Sentence(index=index, phrases=tuple(phrases))
-        for index, phrases in enumerate(sentences)))
+    built = []
+    for index, phrases in enumerate(sentences):
+        sentence = _new_object(Sentence)
+        _set_index(sentence, index)
+        _set_phrases(sentence, tuple(phrases))
+        built.append(sentence)
+    document = Discourse(doc_id=doc_id, sentences=tuple(built))
     violations = _structure_violations(document)
     if violations:
         raise CorpusStructureError(f"document {doc_id!r}: {violations[0]}")

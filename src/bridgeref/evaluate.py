@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
+from ._files import integer
 from .corpus import Discourse, _doc_id_fault
 from .lexicons import SURFACE_CASES
 from .resolver import ResolutionResult
@@ -89,10 +90,10 @@ def parse_predictions(text: str) -> list[Prediction]:
         try:
             predictions.append(Prediction(
                 doc_id,
-                int(anaphor),
+                integer(anaphor),
                 None if slot == "-" else slot,
-                None if winner == NONE_FIELD else int(winner),
-                int(total),
+                None if winner == NONE_FIELD else integer(winner),
+                integer(total),
             ))
         except ValueError:
             raise ValueError(f"predictions line {lineno}: bad integer field") from None

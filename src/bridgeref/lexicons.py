@@ -32,7 +32,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
-from ._files import read_utf8
+from ._files import is_digits, read_utf8
 from ._frozen import reduce_by_fields
 from .corpus import Phrase
 
@@ -66,7 +66,7 @@ def _two_fields(line: str, form: str) -> tuple[str, str]:
 
 
 def _check_code(code: str, what: str) -> None:
-    if not (code.isascii() and code.isdigit()):
+    if not is_digits(code):
         raise LexiconFormatError(f"{what} must be a nonempty digit string")
 
 

@@ -111,6 +111,7 @@ def test_explain_prints_the_per_target_tables_of_every_target(
     ("rate:x", 2, "must be an integer, got 'x'"),
     ("nosuch:1", 1, "no document 'nosuch'"),
     ("rate:99", 1, "no phrase 99 in document 'rate'"),
+    ("rate:+8", 2, "must be an integer, got '+8'"),
 ])
 def test_explain_rejects_an_anaphor_it_cannot_find(anaphor, code, message, capsys):
     assert main(["explain", "--corpus", CORPUS, "--lexicons", LEX,

@@ -227,6 +227,10 @@ def test_unsound_table_in_a_file_names_the_file(tmp_path, text, message):
     ("sim.x=1", "similarity level must be an integer, got 'x'"),
     ("subject_base=2.5", "subject_base must be an integer, got '2.5'"),
     ("weight.focus.noun:ga=x", "weight.focus.noun:ga must be an integer, got 'x'"),
+    # Python's int() takes these; the integer rule is a '-' and ASCII digits.
+    ("pseudo_points=1_0", "pseudo_points must be an integer, got '1_0'"),
+    ("definite=٣", "definite must be an integer, got '٣'"),
+    ("sim.+4=8", "similarity level must be an integer, got '+4'"),
 ])
 def test_a_value_that_is_not_an_integer_names_file_line_and_key(tmp_path, line, message):
     path = tmp_path / "bad.cfg"

@@ -582,3 +582,29 @@ def test_a_document_id_or_pos_reads_back_unless_validate_discourse_reports_it():
         faults = validate_discourse(doc)
         assert faults in ([], ["phrase 1: missing"])
         assert _reads_back(doc) == (not faults), repr(pos)
+
+
+# Integers are an optional '-' then ASCII digits; Python's int() would also
+# take Arabic-Indic digits, a '+' sign and '_' separators.
+@pytest.mark.parametrize("old, new, message", [
+    ("1\tkono", "١\tkono", "line 8: field 'id': not an integer: '١'"),
+    ("\twa\t3\t", "\twa\t+3\t", "line 8: field 'head': not an integer: '+3'"),
+    ("\twa\t3\t", "\twa\t٣\t", "line 8: field 'head': not an integer: '٣'"),
+    ("#SENT 1\n", "#SENT ١\n", "line 11: #SENT index not an integer: '١'"),
+    ("#SENT 1\n", "#SENT +1\n", "line 11: #SENT index not an integer: '+1'"),
+    ("rel=bridging:7", "rel=bridging:٧",
+     "line 16: field 'gold': bad antecedent id '٧'"),
+    ("rel=bridging:7", "rel=bridging:0_7", "line 16: field 'gold': bad antecedent id '0_7'"),
+])
+def test_integers_are_a_minus_sign_and_ascii_digits(old, new, message):
+    text = DEMO_CORPUS.read_text(encoding="utf-8")
+    assert _format_error(text.replace(old, new, 1)) == message
+
+
+def test_integers_may_have_leading_zeros_and_a_minus_sign():
+    text = DEMO_CORPUS.read_text(encoding="utf-8")
+    assert parse_corpus(text.replace("#SENT 1\n", "#SENT 01\n", 1)
+                        .replace("\twa\t3\t", "\twa\t003\t", 1)) == parse_corpus(text)
+    [document] = parse_corpus("#DOC a\n#SENT 0\n-2\tie\tie\tnoun\tcommon\t-\t-\t-\t-\t-\t-\n"
+                              "-1\tinu\tinu\tnoun\tcommon\t-\t-2\t-\t-\t-\t-\n")
+    assert [(p.id, p.head_id) for p in document.phrases()] == [(-2, None), (-1, -2)]

@@ -156,6 +156,15 @@ def test_prediction_parser_rejects_a_slot_that_is_not_a_surface_case(slot):
     assert str(excinfo.value) == f"predictions line 2: slot {slot!r} is not a surface case"
 
 
+@pytest.mark.parametrize("line", ["rate\t٨\t-\t7\t25", "rate\t8\t-\t7\t+1_0",
+                                  "rate\t8\t-\t+7\t25", "rate\t8\t-\t7\t 25"])
+def test_prediction_parser_takes_a_minus_sign_and_ascii_digits_only(line):
+    with pytest.raises(ValueError) as excinfo:
+        parse_predictions(f"% header\n{line}\n")
+    assert str(excinfo.value) == "predictions line 2: bad integer field"
+    assert parse_predictions("rate\t008\t-\t7\t-25\n") == [Prediction("rate", 8, None, 7, -25)]
+
+
 def test_prediction_parser_rejects_a_repeated_unit():
     text = "% header\nrate\t8\t-\t7\t25\nrate\t8\t-\tNONE\t10\n"
     with pytest.raises(ValueError, match="lines 2 and 3.*rate:8"):

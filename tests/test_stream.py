@@ -13,15 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from bridgeref import resolver
-from bridgeref.cli import main
+from bridgeref import _files, resolver
+from bridgeref._files import BLOCK, split_lines
+from bridgeref.cli import _documents, main
 from bridgeref.config import ResolverConfig
 from bridgeref.corpus import _parse_stream, parse_corpus, serialize_corpus
 from bridgeref.data import DEMO_CORPUS, LEXICON_DIR
 from bridgeref.explain import render_score_table
 from bridgeref.lexicons import load_lexicons
 from bridgeref.resolver import resolve_discourse
-from randgen import random_case
+from randgen import random_case, random_marked_case
 from test_cli import _demo_predictions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +67,17 @@ def test_resolve_and_eval_peak_below_what_the_parsed_corpus_holds(many_short, tm
         tracemalloc.stop()
     assert len(documents) > 3000
     assert resolve_peak < held and eval_peak < held, (resolve_peak, eval_peak, held)
+
+
+def test_resolve_and_eval_peak_below_twice_the_corpus_file(many_short, tmp_path):
+    """The corpus is read in blocks, so neither its text nor its lines are held whole."""
+    size = Path(many_short["corpus"]).stat().st_size
+    predictions = str(tmp_path / "preds.tsv")
+    resolve_peak = _traced_peak(["resolve", "--corpus", many_short["corpus"],
+                                 "--lexicons", many_short["lexicons"], "--out", predictions])
+    eval_peak = _traced_peak(["eval", "--corpus", many_short["corpus"],
+                              "--predictions", predictions])
+    assert resolve_peak < 2 * size and eval_peak < 2 * size, (resolve_peak, eval_peak, size)
 
 
 def test_resolve_peaks_below_half_of_what_the_results_hold(long_doc, tmp_path):
@@ -239,3 +251,114 @@ def test_errors_come_in_the_order_the_inputs_are_read(tmp_path, capsys):
     predictions.write_text("x\t8\t-\t7\t25\n", encoding="utf-8")
     assert error("eval", "--corpus", str(corpus), "--predictions", str(predictions)) == (
         f"error: {corpus}: line 86: expected 11 tab-separated fields, got 2\n")
+
+
+def _cut(text, sizes):
+    """``text`` in consecutive slices whose lengths cycle through ``sizes``."""
+    start, k = 0, 0
+    while start < len(text):
+        yield text[start:start + sizes[k % len(sizes)]]
+        start += sizes[k % len(sizes)]
+        k += 1
+
+
+def _texts_with_every_line_end():
+    demo = DEMO_CORPUS.read_text(encoding="utf-8")
+    record = "2\tkyoutyou\tkyoutyou\tnoun"
+    texts = [demo, demo.rstrip("\n"), demo.replace("kyoutyou", "協調")]
+    texts += [demo.replace("\n", end) for end in ("\r\n", "\r", "\u2028", "\x0c", "\x85")]
+    # A line end inside a record splits it; each reports its line number.
+    texts += [demo.replace(record, record.replace("kyou", f"kyou{end}", 1))
+              for end in ("\r", "\r\n", "\u2028", "\x0c", "\n\r")]
+    texts += [(demo + bad).replace("\n", "\r\n") for bad in (_MALFORMED[1], _MALFORMED[3])]
+    texts += [serialize_corpus([random_case(seed)[0] for seed in range(k, k + 3)])
+              for k in range(0, 30, 3)]
+    texts += [serialize_corpus([random_marked_case(seed)[0]]) for seed in range(40)]
+    return texts
+
+
+def test_text_cut_anywhere_reads_as_the_whole_text():
+    """Slices of 1 to 7 characters cut lines anywhere, "\\r\\n" pairs too."""
+    rng = random.Random(11)
+    outcomes = set()
+    for text in _texts_with_every_line_end():
+        expected = _outcome(parse_corpus, text)
+        outcomes.add(type(expected) if isinstance(expected, list) else expected[0])
+        cuts = [[size] for size in range(1, 8)]
+        cuts += [[rng.randint(1, 7) for _ in range(13)] for _ in range(3)]
+        for sizes in cuts:
+            assert list(split_lines(_cut(text, sizes))) == text.splitlines(), (text, sizes)
+            assert _outcome(lambda t: list(_parse_stream(_cut(t, sizes))), text) == expected, (
+                text, sizes)
+    assert len(outcomes) == 3, outcomes
+
+
+def _write_bytes(tmp_path, data):
+    corpus = tmp_path / "corpus.adc"
+    corpus.write_bytes(data)
+    return str(corpus)
+
+
+def _demo_copies(copies):
+    """A valid corpus of ``copies`` renamed copies of the demo documents."""
+    demo = DEMO_CORPUS.read_text(encoding="utf-8")
+    return "".join(demo.replace("#DOC ", f"#DOC c{k}-") for k in range(copies))
+
+
+def test_a_byte_that_is_not_utf8_far_into_the_corpus_is_named_with_its_offset(tmp_path,
+                                                                                  capsys):
+    data = _demo_copies(80).encode("utf-8")
+    offset = data.index(b"\n#DOC", 200_000) + 1
+    assert offset > 3 * BLOCK
+    corpus = _write_bytes(tmp_path, data[:offset] + b"\xff" + data[offset:])
+    out = tmp_path / "out.tsv"
+    capsys.readouterr()
+    assert main(["resolve", "--corpus", corpus, "--lexicons", LEX, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == (f"error: {corpus}: not valid UTF-8: byte 0xff "
+                            f"at offset {offset}: invalid start byte\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("across", ["猫", "\r\n"])
+def test_a_character_or_line_end_across_a_block_boundary_reads_as_the_whole(across, tmp_path):
+    head = "% " + "x" * (BLOCK - 3)                # ``across`` starts at byte BLOCK - 1
+    text = head + across + "\n" + _demo_copies(2)
+    assert len(head.encode("utf-8")) == BLOCK - 1
+    corpus = _write_bytes(tmp_path, text.encode("utf-8"))
+    assert list(_documents(corpus)) == parse_corpus(text)
+    # A broken record after the boundary is reported at the line parse_corpus names.
+    broken = text + _MALFORMED[1]
+    corpus = _write_bytes(tmp_path, broken.encode("utf-8"))
+    with pytest.raises(ValueError) as whole:
+        parse_corpus(broken)
+    with pytest.raises(ValueError) as read:
+        list(_documents(corpus))
+    assert str(read.value) == f"{corpus}: {whole.value}"
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+def test_a_corpus_error_partway_through_the_file_leaves_it_closed(tmp_path, monkeypatch,
+                                                                  capsys):
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(_files, "open", tracked_open, raising=False)
+    copies = _demo_copies(45)
+    assert len(copies.encode("utf-8")) > 2 * BLOCK
+    corpus = _write_bytes(tmp_path, (copies + _MALFORMED[1] + copies).encode("utf-8"))
+    line = copies.count("\n") + 3
+    predictions = _demo_predictions(tmp_path)
+    capsys.readouterr()
+    for argv in (["resolve", "--corpus", corpus, "--lexicons", LEX],
+                 ["eval", "--corpus", corpus, "--predictions", str(predictions)],
+                 ["explain", "--corpus", corpus, "--lexicons", LEX, "--anaphor", "c0-rate:8"]):
+        del opened[:]
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: line {line}: expected 11 tab-separated fields, got 2\n")
+        assert opened and all(file.closed for file in opened), argv[0]
