@@ -1,8 +1,9 @@
 """Reading the UTF-8 text files the package takes as input, and their integers.
 
-A file is read and decoded in blocks of ``BLOCK`` bytes, and ``split_lines``
-cuts text given in pieces into the lines ``str.splitlines`` gives for the
-whole.
+A file, or a byte range of it, is read and decoded in blocks of ``BLOCK``
+bytes, and ``split_lines`` cuts text given in pieces into the lines
+``str.splitlines`` gives for the whole.  A file that opens with a UTF-8
+byte-order mark is refused, since its first line would not read as written.
 """
 from __future__ import annotations
 
@@ -17,25 +18,30 @@ BLOCK = 1 << 16
 _ENDS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def utf8_blocks(path: Path | str) -> Iterator[str]:
-    """The text of a file, decoded block by block; the file is closed however reading ends.
+def utf8_blocks(path: Path | str, start: int = 0, end: int | None = None) -> Iterator[str]:
+    """The text of a file, or of its bytes ``start`` to ``end``, decoded block by block.
 
-    Bytes that are not UTF-8 raise ``ValueError`` naming their offset in the
-    file; the caller names the file.
+    The file is closed however reading ends.  Bytes that are not UTF-8, and
+    a byte-order mark opening the file, raise ``ValueError`` naming their
+    offset in the file; the caller names the file.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
-    end = 0                                     # bytes read so far
+    at = start                                  # the file offset read up to
     with open(path, "rb") as file:
+        file.seek(start)
         while True:
-            block = file.read(BLOCK)
-            end += len(block)
+            block = file.read(BLOCK if end is None else min(BLOCK, end - at))
+            if at == 0 and block.startswith(codecs.BOM_UTF8):
+                raise ValueError("starts with a UTF-8 byte-order mark (bytes ef bb bf); "
+                                 "save the file without it")
+            at += len(block)
             try:
                 text = decoder.decode(block, final=not block)
             except UnicodeDecodeError as exc:
                 # The decoder read the bytes it held back, then the block.
-                start = end - len(exc.object) + exc.start
+                offset = at - len(exc.object) + exc.start
                 raise ValueError(f"not valid UTF-8: byte 0x{exc.object[exc.start]:02x} "
-                                 f"at offset {start}: {exc.reason}") from None
+                                 f"at offset {offset}: {exc.reason}") from None
             if not block:
                 return
             yield text

@@ -12,6 +12,22 @@ predictions, then the corpus, and scores each document's units as that
 document is parsed.  When an input has several faults, the first one met in
 that order is reported.
 
+A document is resolved from its own text alone, so ``resolve`` and ``eval``
+split a corpus file into byte ranges of whole documents, one per CPU the
+process may run on and none shorter than 64 KiB, and run each range but the
+first in a process forked once the config and lexicons, or the predictions,
+are read.  Each child pipes back only what the command keeps of its range
+(``resolve`` its predictions, ``eval`` its document ids and score counts)
+and prints nothing; the parent merges them in file order.  An error in
+the first range, the start of the file, is raised as it is.  If another
+range fails, a child dies or cannot be forked, or a document id repeats
+across ranges, the parent reaps every child and reads the whole corpus
+again in order.  Either way errors, their line numbers and exit codes are
+those of a run in one process, and nothing is written.  A corpus under
+128 KiB, a single document, one CPU or a platform without ``os.fork`` is
+read in one range, with no fork.  ``explain`` always reads the corpus in
+one process.
+
 Exit codes: 0 on success, 1 on data errors (corpus, lexicon, predictions)
 and on any file that cannot be read or written, 2 on configuration or usage
 errors.
@@ -19,17 +35,19 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import closing, contextmanager
 from itertools import takewhile
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Callable, Iterator, TypeVar
 
-from ._files import integer, read_utf8, utf8_blocks
+from ._files import BLOCK, integer, read_utf8, utf8_blocks
 from .config import ConfigError, ResolverConfig, load_config
 from .corpus import CorpusStructureError, Discourse, _parse_stream
 from .dictbuild import build_dictionary
 from .evaluate import (
+    ClassCounts,
     Prediction,
     _Tally,
     _unknown_document,
@@ -54,20 +72,156 @@ def _named(path: str):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _documents(path: str) -> Iterator[Discourse]:
-    """The documents of a corpus file, each yielded as soon as it is parsed.
+def _documents(path: str, start: int = 0, end: int | None = None) -> Iterator[Discourse]:
+    """The documents of a corpus file, or of its bytes ``start`` to ``end``, as parsed.
 
     The file is read in blocks and closed however the reading ends.  A
     repeated id is a data error, since the later document would silently
     replace the earlier one.
     """
     seen = set()
-    with _named(path), closing(utf8_blocks(path)) as blocks:
+    with _named(path), closing(utf8_blocks(path, start, end)) as blocks:
         for document in _parse_stream(blocks):
             if document.doc_id in seen:
                 raise CorpusStructureError(f"document id {document.doc_id!r} is repeated")
             seen.add(document.doc_id)
             yield document
+
+
+T = TypeVar("T")
+
+
+def _part(path: str, work: Callable[[Iterator[Discourse]], T],
+          start: int = 0, end: int | None = None) -> tuple[list[str], T]:
+    """``work`` run on the documents of a byte range, with the ids of those documents."""
+    ids = []
+
+    def documents():
+        for document in _documents(path, start, end):
+            ids.append(document.doc_id)
+            yield document
+
+    result = work(documents())
+    return ids, result
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _document_start(file: BinaryIO, at: int) -> int | None:
+    """The first offset from ``at`` on where a "#DOC " line starts just after a "\\n"."""
+    file.seek(at - 1)
+    base, data = at - 1, b""                    # data is the file from offset base on
+    while block := file.read(BLOCK):
+        data += block
+        found = data.find(b"\n#DOC ")
+        if found >= 0:
+            return base + found + 1
+        base, data = base + len(data) - 5, data[-5:]
+    return None
+
+
+def _ranges(path: str, parts: int) -> list[tuple[int, int]]:
+    """Up to ``parts`` byte ranges of whole documents that cover a corpus file.
+
+    Each range after the first starts with a "#DOC " line, and none is
+    shorter than ``BLOCK``.  The file is read in blocks from each intended
+    cut to the next document, not mapped: a mapped file may count whole
+    towards the process's memory.
+    """
+    size = os.path.getsize(path)
+    cuts = [0]
+    with open(path, "rb") as file:
+        for k in range(1, parts):
+            at = max(size * k // parts, cuts[-1] + BLOCK)
+            cut = None if size - at < BLOCK else _document_start(file, at)
+            if cut is None or size - cut < BLOCK:
+                break
+            cuts.append(cut)
+    cuts.append(size)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _forked(path: str, work: Callable[[Iterator[Discourse]], T],
+            ranges: list[tuple[int, int]]) -> list[tuple[list[str], T]] | None:
+    """Every range's part, the first run here and each other in a forked child.
+
+    None when a forked range fails, a child dies or cannot be forked, or a
+    document id repeats across ranges.  Every child is reaped before this
+    returns or raises.  The command line runs no thread, so forking it is
+    safe.
+    """
+    # Imported here: a corpus read in one range, such as a single long
+    # document, needs neither, and they add about 4 ms to start-up.
+    import pickle
+    import signal
+
+    children: list[tuple[int, BinaryIO]] = []   # (pid, its pipe) until reaped
+    try:
+        for start, end in ranges[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:                     # no process to spare
+                os.close(read)
+                os.close(write)
+                return None
+            if pid == 0:                        # the child prints nothing
+                status = 1
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_part(path, work, start, end), pipe,
+                                    pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        # The first range is the start of the file, so an error in it is the
+        # one an ordered read of the whole file meets first.
+        parts = [_part(path, work, *ranges[0])]
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if status != 0:
+                return None
+            parts.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    ids = [doc_id for part_ids, _ in parts for doc_id in part_ids]
+    return parts if len(set(ids)) == len(ids) else None
+
+
+def _in_parts(path: str, work: Callable[[Iterator[Discourse]], T],
+              parts: int | None = None) -> list[tuple[list[str], T]]:
+    """``work`` run on the documents of each range of a corpus file, in file order.
+
+    ``parts`` is how many ranges to aim for, one per usable CPU by default.
+    When a forked range fails, the whole file is read again here, in order,
+    so what is raised is what a run in one range raises.
+    """
+    if parts is None:
+        parts = _cpus() if hasattr(os, "fork") else 1
+    try:
+        ranges = _ranges(path, parts)
+    except OSError:                             # the reading below reports it
+        ranges = []
+    if len(ranges) > 1:
+        done = _forked(path, work, ranges)
+        if done is not None:
+            return done
+    return [_part(path, work)]
 
 
 def _resolver_config(args) -> ResolverConfig:
@@ -92,11 +246,16 @@ def _cmd_resolve(args) -> int:
     """
     config = _resolver_config(args)
     lexicons = load_lexicons(args.lexicons)
-    predictions = []
-    for discourse in _documents(args.corpus):
-        results = _resolve_stream(discourse, lexicons, config)
-        predictions.extend(predictions_from_results(discourse.doc_id, results))
-    _write_out(serialize_predictions(predictions), args.out)
+
+    def resolve(documents: Iterator[Discourse]) -> list[Prediction]:
+        predictions = []
+        for discourse in documents:
+            results = _resolve_stream(discourse, lexicons, config)
+            predictions.extend(predictions_from_results(discourse.doc_id, results))
+        return predictions
+
+    parts = _in_parts(args.corpus, resolve)
+    _write_out(serialize_predictions(p for _, part in parts for p in part), args.out)
     return 0
 
 
@@ -141,11 +300,21 @@ def _cmd_eval(args) -> int:
     units: dict[str, list[Prediction]] = {}
     for prediction in predictions:
         units.setdefault(prediction.doc_id, []).append(prediction)
+
+    def score(documents: Iterator[Discourse]) -> dict[str, ClassCounts]:
+        tally = _Tally()
+        for discourse in documents:
+            with _named(args.predictions):
+                for prediction in units.get(discourse.doc_id, ()):
+                    tally.add(prediction, discourse)
+        return tally.counts
+
     tally = _Tally()
-    for discourse in _documents(args.corpus):
-        with _named(args.predictions):
-            for prediction in units.pop(discourse.doc_id, ()):
-                tally.add(prediction, discourse)
+    for ids, counts in _in_parts(args.corpus, score):
+        for doc_id in ids:
+            units.pop(doc_id, None)
+        for key, part in counts.items():
+            tally.counts[key] = ClassCounts(*map(sum, zip(tally.counts[key], part)))
     if units:
         with _named(args.predictions):
             raise _unknown_document(next(iter(units)))

@@ -268,10 +268,12 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
 
     # Everything _field_faults reads but the field text, which a split line
     # cannot give a tab or line break and which the reading above never
-    # leaves a marker or a separator, and the gold items, since _parse_gold
-    # cuts labels at ',' and ':' and reads no id without a label; a shape
-    # that faulted is never added.
-    shape = pos, subtype, particles, clause_role, refprop, not surface
+    # leaves a marker or a separator (but for sem codes split to a lone '-',
+    # so whether they are is part of the shape), and the gold items, since
+    # _parse_gold cuts labels at ',' and ':' and reads no id without a
+    # label; a shape that faulted is never added.
+    codes = split_list(sem_codes)
+    shape = pos, subtype, particles, clause_role, refprop, not surface, codes == ("-",)
     own = sound.get(shape)
     unchecked = own is None
     if unchecked:
@@ -291,7 +293,7 @@ def _parse_record(line: str, lineno: int, split_list: Callable[[str], tuple[str,
     _set_punct_after(phrase, punct_after)
     _set_head_id(phrase, head_id)
     _set_clause_role(phrase, clause_role)
-    _set_sem_codes(phrase, split_list(sem_codes))
+    _set_sem_codes(phrase, codes)
     _set_ref_property(phrase, refprop)
     _set_gold_antecedents(phrase, () if gold == "-" else _parse_gold(gold, lineno))
     if unchecked:

@@ -619,3 +619,47 @@ def test_mutated_config_lines_exit_0_or_2(tmp_path, capsys):
                            "--config", str(config)]))
         capsys.readouterr()
     assert set(codes) == {0, 2}, sorted(set(codes))
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_resolve_rejects_sem_codes_that_split_to_a_lone_dash_in_either_order(
+        bad_first, tmp_path, capsys):
+    good = "1\tneko\tneko\tnoun\tcommon\tga\t2\t-\t-\t-\t-\n2\tneta.\tneru\tverb\t-\t-\t-\t-\t-\t-\t-\n"
+    bad = good.replace("\t-\t-\t-\t-\n", "\t-\t-,\t-\t-\n", 1)
+    records = [bad, good] if bad_first else [good, bad]
+    corpus = tmp_path / "codes.adc"
+    corpus.write_text("".join(f"#DOC d{k}\n#SENT 0\n{r}" for k, r in enumerate(records)),
+                      encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert main(["resolve", "--corpus", str(corpus), "--lexicons", LEX,
+                 "--out", str(out)]) == 1
+    line = 3 if bad_first else 7
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: line {line}: field 'sem_codes': '-' reads back as no codes\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, code", [
+    ("lexicons/thesaurus.tsv", 1), ("lexicons/caseframes.txt", 1),
+    ("lexicons/xnoy.tsv", 1), ("lexicons/nounattrs.tsv", 1),
+    ("demo.adc", 1), ("preds.tsv", 1), ("run.cfg", 2),
+])
+def test_a_file_that_opens_with_a_byte_order_mark_is_named(name, code, tmp_path, capsys):
+    shutil.copytree(LEXICON_DIR, tmp_path / "lexicons")
+    shutil.copy(CORPUS, tmp_path / "demo.adc")
+    _demo_predictions(tmp_path)
+    (tmp_path / "run.cfg").write_text("sim.4=8\n", encoding="utf-8")
+    bad = tmp_path / name
+    bad.write_bytes(b"\xef\xbb\xbf" + bad.read_bytes())
+    capsys.readouterr()
+    if name == "preds.tsv":
+        argv = ["eval", "--corpus", str(tmp_path / "demo.adc"), "--predictions", str(bad)]
+    else:
+        argv = ["resolve", "--corpus", str(tmp_path / "demo.adc"),
+                "--lexicons", str(tmp_path / "lexicons"), "--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "configuration error: " if code == 2 else "error: "
+    assert captured.err == (f"{prefix}{bad}: starts with a UTF-8 byte-order mark "
+                            "(bytes ef bb bf); save the file without it\n")

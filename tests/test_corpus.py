@@ -608,3 +608,15 @@ def test_integers_may_have_leading_zeros_and_a_minus_sign():
     [document] = parse_corpus("#DOC a\n#SENT 0\n-2\tie\tie\tnoun\tcommon\t-\t-\t-\t-\t-\t-\n"
                               "-1\tinu\tinu\tnoun\tcommon\t-\t-2\t-\t-\t-\t-\n")
     assert [(p.id, p.head_id) for p in document.phrases()] == [(-2, None), (-1, -2)]
+
+
+@pytest.mark.parametrize("codes", ["-,", ",-"])
+def test_sem_codes_that_split_to_a_lone_dash_are_rejected_whatever_came_before(codes):
+    columns = list(_GOOD_RECORD)
+    columns[8] = codes
+    bad = "#DOC bad\n#SENT 0\n" + "\t".join(columns) + "\n" + _VERB_RECORD + "\n"
+    message = "field 'sem_codes': '-' reads back as no codes"
+    lines = _GOOD_DOCUMENT.count("\n")
+    # A record of the same shape before it, or only after it.
+    assert _format_error(_GOOD_DOCUMENT + bad) == f"line {lines + 3}: {message}"
+    assert _format_error(bad + _GOOD_DOCUMENT) == f"line 3: {message}"
