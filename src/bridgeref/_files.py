@@ -28,7 +28,8 @@ def utf8_blocks(path: Path | str, start: int = 0, end: int | None = None) -> Ite
     decoder = codecs.getincrementaldecoder("utf-8")()
     at = start                                  # the file offset read up to
     with open(path, "rb") as file:
-        file.seek(start)
+        if start:                               # a pipe cannot seek, even to 0
+            file.seek(start)
         while True:
             block = file.read(BLOCK if end is None else min(BLOCK, end - at))
             if at == 0 and block.startswith(codecs.BOM_UTF8):

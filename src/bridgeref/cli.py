@@ -14,19 +14,19 @@ that order is reported.
 
 A document is resolved from its own text alone, so ``resolve`` and ``eval``
 split a corpus file into byte ranges of whole documents, one per CPU the
-process may run on and none shorter than 64 KiB, and run each range but the
-first in a process forked once the config and lexicons, or the predictions,
-are read.  Each child pipes back only what the command keeps of its range
-(``resolve`` its predictions, ``eval`` its document ids and score counts)
-and prints nothing; the parent merges them in file order.  An error in
-the first range, the start of the file, is raised as it is.  If another
-range fails, a child dies or cannot be forked, or a document id repeats
-across ranges, the parent reaps every child and reads the whole corpus
-again in order.  Either way errors, their line numbers and exit codes are
+process may run on but no more than two, and none shorter than 64 KiB, and
+run each range but the first in a process forked once the config and
+lexicons, or the predictions, are read.  Each child pipes back only what
+the command keeps of its range (``resolve`` its predictions, ``eval`` its
+document ids and score counts) and prints nothing; the parent merges them
+in file order.  An error in the first range, the start of the file, is
+raised as it is.  If another range fails, a child dies or cannot be forked,
+or a document id repeats across ranges, the parent reaps every child and
+reads the whole corpus again in order.  Either way errors, their line numbers and exit codes are
 those of a run in one process, and nothing is written.  A corpus under
-128 KiB, a single document, one CPU or a platform without ``os.fork`` is
-read in one range, with no fork.  ``explain`` always reads the corpus in
-one process.
+128 KiB, a single document, one CPU, a platform without ``os.fork`` or a
+corpus that is not a regular file, such as a pipe, is read in one range,
+with no fork.  ``explain`` always reads the corpus in one process.
 
 Exit codes: 0 on success, 1 on data errors (corpus, lexicon, predictions)
 and on any file that cannot be read or written, 2 on configuration or usage
@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from itertools import takewhile
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, TypeVar
@@ -61,6 +62,13 @@ from .resolver import _resolve_stream
 
 DATA_ERROR = 1
 CONFIG_ERROR = 2
+
+# A corpus is split into at most MAX_PARTS ranges of at least MIN_RANGE
+# bytes.  Both come from measurements on two CPUs (see "Cost" in the
+# README): no more than two ranges were ever timed, and two ranges first
+# beat one on a corpus of about 96 KiB.
+MAX_PARTS = 2
+MIN_RANGE = 64 * 1024
 
 
 @contextmanager
@@ -130,19 +138,24 @@ def _ranges(path: str, parts: int) -> list[tuple[int, int]]:
     """Up to ``parts`` byte ranges of whole documents that cover a corpus file.
 
     Each range after the first starts with a "#DOC " line, and none is
-    shorter than ``BLOCK``.  The file is read in blocks from each intended
-    cut to the next document, not mapped: a mapped file may count whole
-    towards the process's memory.
+    shorter than ``MIN_RANGE``.  The file is read in blocks from each
+    intended cut to the next document, not mapped: a mapped file may count
+    whole towards the process's memory.  What is not a regular file, such
+    as a pipe, has no ranges: it can be read only once, and is not opened.
     """
-    size = os.path.getsize(path)
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        return []
+    size = info.st_size
     cuts = [0]
-    with open(path, "rb") as file:
-        for k in range(1, parts):
-            at = max(size * k // parts, cuts[-1] + BLOCK)
-            cut = None if size - at < BLOCK else _document_start(file, at)
-            if cut is None or size - cut < BLOCK:
-                break
-            cuts.append(cut)
+    if size >= 2 * MIN_RANGE:
+        with open(path, "rb") as file:
+            for k in range(1, parts):
+                at = max(size * k // parts, cuts[-1] + MIN_RANGE)
+                cut = None if size - at < MIN_RANGE else _document_start(file, at)
+                if cut is None or size - cut < MIN_RANGE:
+                    break
+                cuts.append(cut)
     cuts.append(size)
     return list(zip(cuts, cuts[1:]))
 
@@ -161,6 +174,7 @@ def _forked(path: str, work: Callable[[Iterator[Discourse]], T],
     import pickle
     import signal
 
+    parent = os.getpid()
     children: list[tuple[int, BinaryIO]] = []   # (pid, its pipe) until reaped
     try:
         for start, end in ranges[1:]:
@@ -172,16 +186,11 @@ def _forked(path: str, work: Callable[[Iterator[Discourse]], T],
                 os.close(write)
                 return None
             if pid == 0:                        # the child prints nothing
-                status = 1
-                try:
-                    with open(write, "wb") as pipe:
-                        pickle.dump(_part(path, work, start, end), pipe,
-                                    pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
+                with open(write, "wb") as pipe:
+                    pickle.dump(_part(path, work, start, end), pipe, pickle.HIGHEST_PROTOCOL)
+                os._exit(0)
             children.append((pid, open(read, "rb")))
+            os.close(write)
         # The first range is the start of the file, so an error in it is the
         # one an ordered read of the whole file meets first.
         parts = [_part(path, work, *ranges[0])]
@@ -195,10 +204,14 @@ def _forked(path: str, work: Callable[[Iterator[Discourse]], T],
                 return None
             parts.append(pickle.loads(data))
     finally:
+        if os.getpid() != parent:               # whatever a child raised, it ends here
+            os._exit(1)
         for pid, pipe in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            # A child reaped just before an interrupt is gone already.
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     ids = [doc_id for part_ids, _ in parts for doc_id in part_ids]
     return parts if len(set(ids)) == len(ids) else None
 
@@ -207,20 +220,20 @@ def _in_parts(path: str, work: Callable[[Iterator[Discourse]], T],
               parts: int | None = None) -> list[tuple[list[str], T]]:
     """``work`` run on the documents of each range of a corpus file, in file order.
 
-    ``parts`` is how many ranges to aim for, one per usable CPU by default.
-    When a forked range fails, the whole file is read again here, in order,
-    so what is raised is what a run in one range raises.
+    ``parts`` is how many ranges to aim for: by default one per usable CPU,
+    at most ``MAX_PARTS``.  Only a regular file of at least two
+    ``MIN_RANGE`` is split; a pipe is read once, as it comes.  When a
+    forked range fails, the whole file is read again here, in order, so
+    what is raised is what a run in one range raises.
     """
     if parts is None:
-        parts = _cpus() if hasattr(os, "fork") else 1
+        parts = min(_cpus(), MAX_PARTS) if hasattr(os, "fork") else 1
     try:
-        ranges = _ranges(path, parts)
+        ranges = _ranges(path, parts) if parts > 1 else []
     except OSError:                             # the reading below reports it
         ranges = []
-    if len(ranges) > 1:
-        done = _forked(path, work, ranges)
-        if done is not None:
-            return done
+    if len(ranges) > 1 and (done := _forked(path, work, ranges)) is not None:
+        return done
     return [_part(path, work)]
 
 
@@ -313,8 +326,7 @@ def _cmd_eval(args) -> int:
     for ids, counts in _in_parts(args.corpus, score):
         for doc_id in ids:
             units.pop(doc_id, None)
-        for key, part in counts.items():
-            tally.counts[key] = ClassCounts(*map(sum, zip(tally.counts[key], part)))
+        tally.merge(counts)
     if units:
         with _named(args.predictions):
             raise _unknown_document(next(iter(units)))

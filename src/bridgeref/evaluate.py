@@ -230,6 +230,11 @@ class _Tally:
         key = VERBAL_CLASS if prediction.slot is not None else NONVERBAL_CLASS
         self.counts[key] = self.counts[key].add(correct, gold, system)
 
+    def merge(self, counts: dict[str, ClassCounts]) -> None:
+        """Add the ``counts`` of another tally, such as one kept in another process."""
+        for key, part in counts.items():
+            self.counts[key] = ClassCounts(*map(sum, zip(self.counts[key], part)))
+
     def report(self) -> EvalReport:
         verbal, nonverbal = self.counts[VERBAL_CLASS], self.counts[NONVERBAL_CLASS]
         return EvalReport(

@@ -11,6 +11,8 @@ import functools
 import os
 import random
 import signal
+import threading
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import pytest
@@ -283,12 +285,89 @@ def test_a_small_corpus_or_a_single_document_is_one_range(tmp_path):
     assert cli._ranges(str(single), 4) == [(0, single.stat().st_size)]
 
 
-def test_ranges_start_at_document_lines_and_are_at_least_one_block(tmp_path):
+def test_ranges_start_at_document_lines_and_are_at_least_the_least_range(tmp_path):
     corpus = _write(tmp_path, _documents(90))
     data = Path(corpus).read_bytes()
     for parts in range(1, 9):
         ranges = cli._ranges(corpus, parts)
         assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
         assert all(end == start for (_, end), (start, _) in zip(ranges, ranges[1:]))
-        assert all(end - start >= BLOCK for start, end in ranges)
+        assert all(end - start >= cli.MIN_RANGE for start, end in ranges)
         assert all(data[start - 1:start + 5] == b"\n#DOC " for start, _ in ranges[1:])
+
+
+def test_a_child_that_raises_ends_there_and_the_parent_reads_the_corpus_again(tmp_path):
+    corpus = _write(tmp_path, _documents(90))
+    parent = os.getpid()
+
+    def work(documents):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt             # not caught by the child's own code
+        return _ids(documents)
+
+    parts = _in_parts(corpus, work, parts=4)
+    _assert_no_child_left()
+    assert len(parts) == 1 and len(parts[0][0]) == 90 * 6
+
+
+def test_an_interrupt_just_after_a_child_is_reaped_is_what_the_parent_raises(
+        monkeypatch, tmp_path):
+    corpus = _write(tmp_path, _documents(90))
+    waitpid, reaped = os.waitpid, []
+
+    def reap_then_interrupt(pid, options):
+        status = waitpid(pid, options)
+        if not reaped:
+            reaped.append(pid)
+            raise KeyboardInterrupt
+        return status
+
+    monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _in_parts(corpus, _ids, parts=4)
+    monkeypatch.undo()
+    assert reaped
+    _assert_no_child_left()
+
+
+@contextmanager
+def _piped(data: bytes):
+    """A path that reads ``data`` through a pipe, which cannot seek."""
+    read, write = os.pipe()
+
+    def feed():
+        with suppress(BrokenPipeError), open(write, "wb") as pipe:
+            pipe.write(data)                    # broken if the reader stops early
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+        feeder.join()
+
+
+def test_a_corpus_config_or_predictions_read_through_a_pipe_give_what_a_file_gives(
+        monkeypatch, capsys, tmp_path):
+    corpus = _write(tmp_path, _documents(90))
+    data = Path(corpus).read_bytes()
+    assert len(data) >= 4 * cli.MIN_RANGE
+    config = tmp_path / "resolver.cfg"
+    config.write_text("pseudo_points=2\n", encoding="utf-8")
+    expected = tmp_path / "expected.tsv"
+    resolve = ["resolve", "--lexicons", LEX, "--config"]
+    assert _run(monkeypatch, 1, [*resolve, str(config), "--corpus", corpus,
+                                 "--out", str(expected)]) == 0
+    assert _run(monkeypatch, 1, ["eval", "--corpus", corpus,
+                                 "--predictions", str(expected)]) == 0
+    scores = capsys.readouterr().out
+    out = tmp_path / "out.tsv"
+    with _piped(config.read_bytes()) as piped_config, _piped(data) as piped_corpus:
+        assert _run(monkeypatch, 2, [*resolve, piped_config, "--corpus", piped_corpus,
+                                     "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    with _piped(expected.read_bytes()) as predictions, _piped(data) as piped_corpus:
+        assert _run(monkeypatch, 2, ["eval", "--corpus", piped_corpus,
+                                     "--predictions", predictions]) == 0
+    assert capsys.readouterr() == (scores, "")
