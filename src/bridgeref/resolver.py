@@ -43,10 +43,11 @@ stream and keeps only what it prints, so its memory grows with the document.
 What depends only on the lexicons and the config (target modes, salience
 classes, the R4/R5 score rules and their scores) is held by one ``_Run``
 for as long as the same ``LexiconSet`` and ``ResolverConfig`` objects are
-passed, so a run over many documents computes each of them once.  Both
-objects are immutable, which makes its caches sound.  They are keyed by
-lemmas, particles and case slots, and never hold a phrase, a document or a
-position in one.
+passed, so a run over many documents computes each of them once, and
+builds each source's scorer once.  Both objects are immutable, which makes
+its caches sound.  They are keyed by lemmas, particles and case slots of
+nouns alone, since no other phrase is a target or a salience entry, and
+never hold a phrase, a document or a position in one.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional, Union
 
 from .config import ConfigError, ResolverConfig
-from .corpus import Discourse, Phrase, _check_anaphor
+from .corpus import Discourse, Phrase, _check_anaphor, _new_object
 from .lexicons import (
     SURFACE_CASES,
     CaseSlot,
@@ -86,6 +87,7 @@ Candidate = Union[int, str]   # phrase id, or a pseudo candidate marker
 
 _SUBJECT_ROLES = frozenset({"subject_main", "subject_subordinate"})
 _SLOT_PARTICLES = {**{case: case for case in SURFACE_CASES}, "niwa": "ni"}
+_NOT_A_TARGET = SKIP, None, (None,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,6 +203,10 @@ class _BuiltOnFirstRead:
         self.slot.__set__(result, value)
 
 
+# ResolutionResult's slot setters: ``_Sweep.resolve`` calls them directly,
+# skipping the frozen ``__init__``'s one ``object.__setattr__`` per field.
+(_set_anaphor_id, _set_slot, _set_winner, _set_total, _set_all_scores, _set_proposals,
+ _set_direct) = (getattr(ResolutionResult, name).__set__ for name in ResolutionResult.__slots__)
 _build_lock = threading.Lock()
 _LAZY_SLOTS = ResolutionResult.all_scores, ResolutionResult.proposals
 ResolutionResult.all_scores = _BuiltOnFirstRead(_LAZY_SLOTS[0], 0)
@@ -246,7 +252,7 @@ def _classify_target(phrase: Phrase, lex: LexiconSet
     phrase has the single slot None.
     """
     if not phrase.is_noun() or phrase.noun_subtype in PRONOUN_LIKE:
-        return SKIP, None, (None,)
+        return _NOT_A_TARGET
     if phrase.noun_subtype == "verbal":
         frame = lookup_case_frame(phrase.lemma, lex.case_frames)
         if frame is not None:
@@ -255,7 +261,7 @@ def _classify_target(phrase: Phrase, lex: LexiconSet
         return RELATIONAL, None, (None,)
     if xnoy_modifier_set(phrase.lemma, lex.xnoy, lex.attrs):
         return NOMINAL, None, (None,)
-    return SKIP, None, (None,)
+    return _NOT_A_TARGET
 
 
 def detect_targets(d: Discourse, lex: LexiconSet) -> list[Target]:
@@ -323,15 +329,17 @@ class _Run:
         top_sim = max(config.similarity_table.values())
         self.ceilings = {kind: top_sim + max(row.weight for row in self.rows if row.kind == kind)
                          for kind in {row.kind for row in self.rows}}
-        # (pos, noun_subtype, lemma) -> _classify_target's mode, frame, slots
+        # (pos, noun_subtype, lemma) of a noun -> _classify_target's mode, frame, slots
         self.targets: dict[tuple, tuple] = {}
-        # (pos, noun_subtype, particles, punct_after) -> (kind, weight) or None
+        # (pos, noun_subtype, particles, punct_after) of a noun -> (kind, weight) or None
         self.salience: dict[tuple, Optional[tuple[str, int]]] = {}
-        # anaphor lemma (R4) or case slot (R5) -> (lemma, sem_codes) -> score
-        self.scores: dict[object, dict[tuple, Optional[int]]] = {}
+        # anaphor lemma (R4) or case slot (R5) -> its scorer, which keeps its own cache
+        self.scores: dict[object, Callable[[Phrase], Optional[int]]] = {}
 
     def target(self, phrase: Phrase
                ) -> tuple[str, Optional[VerbCaseFrame], tuple[Optional[str], ...]]:
+        if phrase.pos != "noun":
+            return _NOT_A_TARGET
         key = phrase.pos, phrase.noun_subtype, phrase.lemma
         found = self.targets.get(key)
         if found is None:
@@ -342,9 +350,12 @@ class _Run:
         """A candidate's similarity score for one source, or None to exclude it.
 
         An anaphor lemma scores by R4's "X no Y" similarity, a case slot by
-        R5's constraint.
+        R5's constraint.  Each source's scorer is built once per run.
         """
-        lex, config, cache = self.lex, self.config, self.scores.setdefault(source, {})
+        found = self.scores.get(source)
+        if found is not None:
+            return found
+        lex, config, cache = self.lex, self.config, {}
 
         def score(candidate: Phrase) -> Optional[int]:
             key = candidate.lemma, candidate.sem_codes
@@ -361,6 +372,7 @@ class _Run:
                     cache[key] = similarity_score(best, config.similarity_table)
             return cache[key]
 
+        self.scores[source] = score
         return score
 
 
@@ -441,11 +453,15 @@ class _Sweep:
         self.mentions: dict[tuple[str, Optional[str]], list] = {}
 
     def add(self, phrase: Phrase) -> None:
+        if phrase.pos != "noun":   # no entry or candidate, but a lemma R1's test reads
+            if phrase.lemma:
+                self.lemmas.add(phrase.lemma)
+            return
         shape = phrase.pos, phrase.noun_subtype, phrase.particles, phrase.punct_after
         classified = self.classes.get(shape, _UNSEEN)
         if classified is _UNSEEN:
             classified = self.classes[shape] = classify_salience(phrase, self.rows)
-        candidate = phrase.pos == "noun" and phrase.noun_subtype != "zero_pronoun"
+        candidate = phrase.noun_subtype != "zero_pronoun"
         entry = kind = None
         if classified is not None:
             kind, weight = classified
@@ -556,11 +572,19 @@ class _Sweep:
                     scan(self.mentions.get((lemma, kind), ()), len(entries),
                          identity + ceilings[kind] + p_score, floor)
 
-        direct = lemma is not None and type(best) is int and self.d.phrase(best).lemma == lemma
         pending = partial(_build_scores, config, prop, p_score, nouns, len(nouns), r6, len(r6),
                           "R5" if isinstance(source, CaseSlot) else "R4", score, subjects,
                           self.entries, len(self.entries))
-        return ResolutionResult(anaphor.id, slot, best, total, pending, pending, direct)
+        result = _new_object(ResolutionResult)
+        _set_anaphor_id(result, anaphor.id)
+        _set_slot(result, slot)
+        _set_winner(result, best)
+        _set_total(result, total)
+        _set_all_scores(result, pending)
+        _set_proposals(result, pending)
+        _set_direct(result, lemma is not None and type(best) is int
+                    and self.d.phrase(best).lemma == lemma)
+        return result
 
 
 def resolve(

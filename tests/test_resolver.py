@@ -33,7 +33,7 @@ from bridgeref.resolver import (
     resolve,
     resolve_discourse,
 )
-from randgen import make_phrase
+from randgen import make_phrase, oracle_all_scores
 
 
 def _doc(*sentences, doc_id="t"):
@@ -487,3 +487,63 @@ def test_a_thesaurus_code_longer_than_its_max_depth_is_rejected(lexicons):
         Thesaurus(codes=codes, max_depth=5)
     assert Thesaurus(codes=codes, max_depth=7) == Thesaurus.from_entries(
         (lemma, code) for lemma, lemma_codes in codes.items() for code in lemma_codes)
+
+
+# --- what a run keeps: target modes of nouns, one scorer per source -----------
+
+def test_a_verb_of_a_later_auto_nouns_lemma_still_makes_that_noun_definite():
+    lex = _lex(pairs=[("yama", "ie")])
+    for verb, prop, winner in (("ie", "definite", None), ("aru", "indefinite", "INDEFINITE")):
+        doc = _doc([make_phrase(1, lemma=verb, pos="verb"),
+                    make_phrase(2, lemma="ie", particles=("ga",))])
+        assert referential_property(doc.phrase(2), doc)[0] == prop
+        [result] = resolve_discourse(doc, lex)
+        assert result == resolve(doc.phrase(2), None, doc, lex)
+        assert (result.anaphor_id, result.winner) == (2, winner)
+
+
+def test_a_document_of_verbs_and_adjectives_alone_has_no_result(lexicons):
+    doc = _doc([make_phrase(1, lemma="subayai", pos="adj", head=2),
+                make_phrase(2, lemma="kaiseki", pos="verb")],
+               [make_phrase(3, lemma="takai", pos="adj", particles=("ga",), punct="period")])
+    assert detect_targets(doc, lexicons) == []
+    assert resolve_discourse(doc, lexicons) == []
+
+
+def test_a_verbal_noun_under_one_run_scores_as_in_a_fresh_run_and_by_the_oracle(
+        corpora, lexicons):
+    # butsurigakusha (3) and deeta (5) trade codes, so the second document
+    # asks the kept ga and wo scorers about keys the first never had.
+    analysis = corpora["analysis"]
+    codes = {3: analysis.phrase(5).sem_codes, 5: analysis.phrase(3).sem_codes}
+    swapped = Discourse("swapped", tuple(
+        Sentence(s.index, tuple(dataclasses.replace(p, sem_codes=codes.get(p.id, p.sem_codes))
+                                for p in s.phrases)) for s in analysis.sentences))
+    config = ResolverConfig.default()
+    kept = [resolve_discourse(d, lexicons, config) for d in (analysis, swapped)]
+    assert [r.all_scores for r in kept[0]] != [r.all_scores for r in kept[1]]
+    for d, results in zip((analysis, swapped), kept):
+        assert [r.slot for r in results if r.anaphor_id == 9] == ["ga", "wo"]
+        fresh = ResolverConfig.default()
+        assert fresh is not config
+        assert results == resolve_discourse(d, lexicons, fresh)
+        for r in results:
+            assert r.all_scores == oracle_all_scores(
+                d.phrase(r.anaphor_id), r.slot, d, lexicons, config)
+
+
+def test_the_run_caches_hold_no_phrase_but_a_noun(corpora, lexicons):
+    config = ResolverConfig.default()
+    for d in corpora.values():
+        resolve_discourse(d, lexicons, config)
+    run = _run_caches(lexicons, config)
+    assert {key[0] for key in run.targets} == {"noun"}
+    assert {shape[0] for shape in run.salience} == {"noun"}
+
+
+def test_the_run_builds_one_scorer_per_source(lexicons, config):
+    run = _run_caches(lexicons, config)
+    slot = CaseSlot("ga", ("11",), ())
+    for source in ("ie", slot):
+        assert run.scorer(source) is run.scorer(source)
+    assert run.scorer(CaseSlot("ga", ("11",), ())) is run.scorer(slot)
